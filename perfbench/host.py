@@ -49,6 +49,17 @@ def cpu_steal_ticks() -> int | None:
     return int(fields[8]) if len(fields) > 8 else None
 
 
+def steal_share(ticks: int | None, seconds: float) -> float | None:
+    """Share of all CPUs' time over the last ``seconds`` that the
+    hypervisor gave to other guests, ``ticks`` being
+    :func:`cpu_steal_ticks` at their start."""
+    now = cpu_steal_ticks()
+    if ticks is None or now is None or seconds <= 0:
+        return None
+    return ((now - ticks) / os.sysconf("SC_CLK_TCK")
+            / (seconds * (os.cpu_count() or 1)))
+
+
 def host_block(root) -> dict:
     import numpy as np
     try:

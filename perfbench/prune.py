@@ -8,14 +8,14 @@ same work: three iterations that each remove 10% of the remaining
 filters. A run repeats the pass until ``--seconds`` are spent (at least
 twice) and reports medians; every pass must end in the same state.
 
-After each pass, the pruned model is compiled and timed on batches of 16,
-which gives the pruned network's own serving cost outside the loop's
-timing: ``p50_ms`` and ``p90_ms`` of a batch over all passes, and
-``max_rate_rps``, the samples per second at the median.
+Besides ``loop_s``, a pass gives ``capacity_rps``, the images the loop
+trains on (pretraining and every fine-tuning epoch) per second of the
+loop, over the untraced passes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 import weakref
@@ -32,13 +32,13 @@ CONFIG = dict(model="vgg11", num_classes=10, image_size=12, width=0.25,
               tau_quantile=0.9, score_threshold=3.0, max_fraction=0.1,
               max_iterations=3, tolerance=1.0)
 
-#: Engine calls timed on the pruned model after each pass; the passes'
-#: samples are pooled, which spreads them over the run like the loop time.
-ENGINE_CALLS = 500
-ENGINE_BATCH = 16
-
-#: Extra set-ups timed before the passes.
-SETUPS = 4
+#: Extra set-ups timed before every pass and after the last, with a
+#: pause after each. They are spread over the run because the host's
+#: speed changes from one second to the next: timed all at once, the
+#: median of one run read 0.05 or 0.075 s depending on the second it
+#: fell in.
+SETUPS_PER_PASS = 8
+SETUP_GAP_S = 0.15
 
 PHASES = ("compute", "publish", "reduce", "step", "setup", "broadcast")
 
@@ -125,26 +125,6 @@ def attach(tracer) -> None:
     tracer.patch(Tensor, "backward", "tensor.backward")
 
 
-def engine_latencies(model, seed: int) -> list[float]:
-    """Milliseconds per batch of the compiled pruned model."""
-    from repro.infer import compile_model
-
-    c = CONFIG
-    rng = np.random.default_rng(seed)
-    batch = rng.normal(size=(ENGINE_BATCH, 3, c["image_size"],
-                             c["image_size"])).astype(np.float32)
-    model.eval()
-    engine = compile_model(model, batch, max_batch=ENGINE_BATCH)
-    for _ in range(50):                     # warm the arena and caches
-        engine.run(batch)
-    lat = []
-    for _ in range(ENGINE_CALLS):
-        start = time.perf_counter()
-        engine.run(batch)
-        lat.append((time.perf_counter() - start) * 1e3)
-    return lat
-
-
 def run(workload: str, seed: int, seconds: float, tracer, reference: dict,
         log) -> dict:
     """Run passes for ``seconds`` (at least two, three when traced)."""
@@ -154,13 +134,16 @@ def run(workload: str, seed: int, seconds: float, tracer, reference: dict,
         attach(tracer)
     passes = []
     failures = []
-    engine_ms = []
     # Set-up is cheap next to a pass: time a few more for a steady median.
     setups = []
-    for _ in range(SETUPS):
-        t0 = time.perf_counter()
-        build(seed, workers)
-        setups.append(time.perf_counter() - t0)
+
+    def time_setups():
+        for _ in range(SETUPS_PER_PASS):
+            t0 = time.perf_counter()
+            build(seed, workers)
+            setups.append(time.perf_counter() - t0)
+            time.sleep(SETUP_GAP_S)
+
     # A traced run alternates untraced and traced passes, so the loop
     # time of both is measured in the same process; the first pass runs
     # cold and is left out of the comparison.
@@ -168,20 +151,22 @@ def run(workload: str, seed: int, seconds: float, tracer, reference: dict,
     begin = time.perf_counter()
     while len(passes) < min_passes or time.perf_counter() - begin < seconds:
         tracing = traced and len(passes) % 2 == 1
+        time_setups()
         if traced:
             tracer.enabled = tracing
         t0 = time.perf_counter()
         fw = build(seed, workers)
         t1 = time.perf_counter()
-        if tracing:
-            with tracer.span("core.framework"):
-                fw.pretrain()
-                result = fw.run()
-        else:
+        with tracer.span("core.framework") if tracing \
+                else contextlib.nullcontext():
             fw.pretrain()
             result = fw.run()
         t2 = time.perf_counter()
         one = {"setup_s": t1 - t0, "loop_s": t2 - t1, "traced": tracing,
+               "train_rate": ((CONFIG["pretrain_epochs"]
+                               + CONFIG["finetune_epochs"]
+                               * len(result.iterations))
+                              * len(fw.train_dataset) / (t2 - t1)),
                "digest": digest(result),
                "final_accuracy": result.final_accuracy,
                "flops_reduction": result.flops_reduction,
@@ -194,24 +179,21 @@ def run(workload: str, seed: int, seconds: float, tracer, reference: dict,
         failures.extend(one["gates"])
         if traced:
             tracer.enabled = False
-        engine_ms.extend(engine_latencies(result.model, seed))
         log(f"pass {len(passes)}: setup {one['setup_s']:.3f} s, loop "
             f"{one['loop_s']:.3f} s{' (traced)' if tracing else ''}, "
             f"acc {one['final_accuracy']:.4f}, flops_red "
             f"{one['flops_reduction']:.4f}, removed {one['removed']}")
+    time_setups()
     if len({p["digest"] for p in passes}) != 1:
         failures.append("passes of one seed ended in different states: "
                         + ", ".join(p["digest"][:12] for p in passes))
     plain = [p for p in passes if not p["traced"]]
-    p50 = stats.median(engine_ms)
     metrics = {
         "setup_s": stats.median(setups + [p["setup_s"] for p in passes]),
         "loop_s": stats.median([p["loop_s"] for p in plain]),
         "final_accuracy": passes[-1]["final_accuracy"],
         "flops_reduction": passes[-1]["flops_reduction"],
-        "p50_ms": p50,
-        "p90_ms": stats.tail(engine_ms, 90),
-        "max_rate_rps": ENGINE_BATCH * 1e3 / p50,
+        "capacity_rps": stats.median([p["train_rate"] for p in plain]),
     }
     return {"passes": passes, "metrics": metrics, "failures": failures,
             "attempted": len(passes),

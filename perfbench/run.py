@@ -27,43 +27,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from perfbench import stats  # noqa: E402
-from perfbench.host import cpu_steal_ticks, host_block  # noqa: E402
+from perfbench.host import (cpu_steal_ticks, host_block,  # noqa: E402
+                            steal_share)
 
-WORKLOADS = ("prune_serial", "prune_sharded", "serve_local", "serve_fleet")
-
-END_TO_END = {
-    "setup_s": "s", "peak_rss_mb": "MB", "loop_s": "s",
-    "final_accuracy": "ratio", "flops_reduction": "ratio",
-    "max_rate_rps": "1/s", "p50_ms": "ms", "p90_ms": "ms",
-}
-
-PER_LAYER = {
-    "core.trainer.train_s": "s", "core.trainer.calls": "count",
-    "core.importance.evaluate_s": "s", "core.pruner.apply_s": "s",
-    "core.evaluate.s": "s", "flops.profile_s": "s",
-    "core.framework.self_s": "s", "tensor.conv2d.s": "s",
-    "tensor.conv2d.calls": "count", "tensor.backward.s": "s",
-    "parallel.phase.compute_s": "s", "parallel.phase.publish_s": "s",
-    "parallel.phase.reduce_s": "s", "parallel.phase.step_s": "s",
-    "parallel.phase.setup_s": "s", "parallel.phase.broadcast_s": "s",
-    "parallel.worker_events": "count", "parallel.degraded": "count",
-    "infer.engine.run_s": "s", "infer.engine.calls": "count",
-    "infer.engine.samples": "count",
-    "infer.engine.dense.ms_per_sample": "ms",
-    "infer.engine.pruned.ms_per_sample": "ms",
-    "infer.engine.int8.ms_per_sample": "ms",
-    "infer.batcher.batch_size_mean": "count",
-    "serve.server.latency_p50_ms": "ms", "serve.server.latency_p99_ms": "ms",
-    "serve.server.queue_wait_p50_ms": "ms",
-    "serve.server.queue_wait_p99_ms": "ms",
-    "serve.outside_p50_ms": "ms",
-    "serve.router.dispatch_p50_ms": "ms", "serve.router.dispatch_p99_ms": "ms",
-    "serve.replica.latency_p50_ms": "ms", "serve.replica.share_max": "ratio",
-    "serve.replica.redispatches": "count", "serve.replica.respawns": "count",
-    "loadgen.sent": "count", "loadgen.ok": "count", "loadgen.failed": "count",
-    "loadgen.late_ms_max": "ms", "loadgen.p99_ms": "ms",
-    "trace.coverage": "ratio", "trace.overhead": "ratio",
-}
+#: Workloads and metrics, with their units, as ``BENCHMARK.json`` lists them.
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
+END_TO_END = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 
 #: Layers each workload family leaves idle; their metrics read 0 there.
 IDLE_LAYERS = {"prune": ("infer.", "serve.", "loadgen."),
@@ -93,7 +64,7 @@ def stop_resource_tracker() -> None:
         stop()
 
 
-def run_prune(args, workdir: Path) -> tuple[dict, list[str], int, int]:
+def run_prune(args) -> tuple[dict, list[str], int, int]:
     from perfbench import prune
     from perfbench.tracing import Tracer
 
@@ -165,32 +136,17 @@ def serve_layers(out: dict) -> dict:
                                            or _pct(wait, 99)),
         "serve.outside_p50_ms": out["p50_ms"] - latency["p50_ms"],
     })
-    dispatch = samples.get("serve.router.dispatch_ms", [])
-    fleet = server.get("replicas") or {}
-    served = [r.get("served", 0) for r in
-              (fleet.get("per_replica") or {}).values()]
     metrics.update({
-        "serve.router.dispatch_p50_ms": _pct(dispatch, 50),
-        "serve.router.dispatch_p99_ms": _pct(dispatch, 99),
-        "serve.replica.latency_p50_ms": (
-            ((fleet.get("fleet") or {}).get("latency") or {})
-            .get("p50_ms") or 0.0),
-        "serve.replica.share_max": (max(served) / sum(served)
-                                    if sum(served) else 0.0),
-        "serve.replica.redispatches": server["counters"].get(
-            "replica_redispatches", 0),
-        "serve.replica.respawns": fleet.get("respawns", 0),
         "trace.coverage": latency["p50_ms"] / out["p50_ms"],
         "trace.overhead": out["trace_overhead"],
     })
     return metrics
 
 
-def run_serve(args, workdir: Path) -> tuple[dict, list[str], int, int]:
+def run_serve(args) -> tuple[dict, list[str], int, int]:
     from perfbench import serve
 
-    out = serve.run(args.workload, args.seed, args.seconds, bool(args.trace),
-                    ROOT, workdir, log)
+    out = serve.run(args.seed, args.seconds, bool(args.trace), ROOT, log)
     failures = []
     if out["wrong"]:
         failures.append(f"{out['wrong']} ok responses differ from the "
@@ -202,7 +158,11 @@ def run_serve(args, workdir: Path) -> tuple[dict, list[str], int, int]:
                         "loadgen.ok": out["attempted"] - out["failed"],
                         "loadgen.failed": out["failed"],
                         "loadgen.late_ms_max": out["late_ms_max"],
-                        "loadgen.p99_ms": out["p99_ms"]})
+                        "loadgen.p50_ms": out["p50_ms"],
+                        "loadgen.p90_ms": out["p90_ms"],
+                        "loadgen.p99_ms": out["p99_ms"],
+                        "loadgen.burst_s": out["burst_s"],
+                        "loadgen.saturated_rps": out["saturated_rps"]})
         log(f"\nclient p50 {out['p50_ms']:.3f} ms = server "
             f"{metrics['serve.server.latency_p50_ms']:.3f} ms + outside "
             f"{metrics['serve.outside_p50_ms']:.3f} ms")
@@ -214,12 +174,12 @@ def run_serve(args, workdir: Path) -> tuple[dict, list[str], int, int]:
             "setup_s": stats.median(out["setup"]),
             "peak_rss_mb": peak_rss_mb(),
             "loop_s": out["loop_s"],
-            "final_accuracy": ok / (ok + out["wrong"]) if ok else 0.0,
+            # A request that failed or was never answered counts
+            # against accuracy like a wrong answer.
+            "final_accuracy": ok / out["attempted"],
             "flops_reduction": 1 - served / (ok * flops["dense"])
             if ok else 0.0,
-            "max_rate_rps": out["max_rate_rps"],
-            "p50_ms": out["p50_ms"],
-            "p90_ms": out["p90_ms"],
+            "capacity_rps": out["capacity_rps"],
         }
     return metrics, failures, out["attempted"], out["failed"]
 
@@ -228,7 +188,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -249,7 +209,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         runner = run_prune if args.workload.startswith("prune") else run_serve
-        metrics, failures, attempted, failed = runner(args, workdir)
+        metrics, failures, attempted, failed = runner(args)
     finally:
         stop_resource_tracker()
         shutil.rmtree(workdir, ignore_errors=True)
@@ -270,12 +230,11 @@ def main(argv=None) -> int:
     log("\n" + "\n".join(f"{name:<36} {metrics.get(name, float('nan')):>14.6g}"
                          f" {unit}" for name, unit in names.items()))
     host = host_block(ROOT)
-    if steal is not None:
+    stolen = steal_share(steal, time.perf_counter() - start)
+    if stolen is not None:
         # Share of the run's CPU time the hypervisor gave to other guests:
         # when it is high, every timing of the run is.
-        host["cpu_steal_share"] = round(
-            (cpu_steal_ticks() - steal) / os.sysconf("SC_CLK_TCK")
-            / ((time.perf_counter() - start) * (os.cpu_count() or 1)), 4)
+        host["cpu_steal_share"] = round(stolen, 4)
     log(json.dumps({"host": host, "workload": args.workload,
                     "seed": args.seed, "trace": args.trace}))
     correct = not failures

@@ -1,20 +1,21 @@
 """Server side of the serve workloads, run as a child process.
 
-    python3 -m perfbench.serve_child --replicas 0|2 --seed N --setups K \
-        --workdir DIR [--trace]
+    python3 -m perfbench.serve_child --seed N [--trace]
 
-Sets the server up ``K`` times (each time: build the three bench models,
-deploy them through the registry's compile + validate gate, start the
-socket server and, with ``--replicas``, the replica fleet behind the
-router), keeps the last one and prints one JSON line::
+Sets the server up :data:`perfbench.serve.SETUPS` times (each time:
+build the three bench models, deploy them through the registry's compile
++ validate gate and start the socket server), keeps the last one and
+prints one JSON line::
 
     {"port": ..., "setup_s": [...], "reference": {...}, "flops": {...}}
 
 ``reference`` holds, per model, the outputs of the deployed engine run
 directly on the workload's payloads. The child then reads commands from
-stdin, one per line: ``on`` / ``off`` switch tracing, ``reset`` clears
-it, ``report`` prints the trace aggregate as one JSON line, ``quit``
-shuts everything down.
+stdin, one per line: ``cpu`` prints ``{"cpu_s": ...}``, the CPU time the
+process has used; ``setup`` sets up and closes :data:`SETUPS` more
+servers beside the one serving and prints ``{"setup_s": [...]}``;
+``on`` / ``off`` switch tracing, ``reset`` clears it, ``report`` prints
+the trace aggregate as one JSON line; ``quit`` shuts everything down.
 """
 
 from __future__ import annotations
@@ -32,45 +33,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def build_models() -> dict:
-    """The ``bench_serve`` models: vgg11 dense, and with ~half of every
-    prunable group's channels removed (the int8 variant quantizes the
-    pruned one)."""
-    from repro.core.surgery import group_sizes, prune_groups
-    from repro.models import build_model
-    from repro.verify.invariants import perturb_batchnorm_stats
+    """The ``bench_serve`` models, dense and pruned (the int8 variant
+    quantizes the pruned one)."""
+    from repro.serve.bench import _BENCH_MODEL, _build_variant
 
-    from .serve import MODEL
-
-    models = {}
-    for variant in ("dense", "pruned"):
-        kwargs = dict(MODEL)
-        name = kwargs.pop("name")
-        model = build_model(name, **kwargs)
-        perturb_batchnorm_stats(model, seed=kwargs["seed"])
-        if variant == "pruned":
-            rng = np.random.default_rng(kwargs["seed"] + 7)
-            groups = model.prunable_groups()
-            sizes = group_sizes(model, groups)
-            keep = {}
-            for group in groups:
-                n = sizes[group.name]
-                k = max(n - max(int(round(n * 0.5)), 1), 1)
-                keep[group.name] = np.sort(rng.choice(n, size=k,
-                                                      replace=False))
-            prune_groups(model, groups, keep)
-        model.eval()
-        models[variant] = model
-    return models
+    return {variant: _build_variant(_BENCH_MODEL, pruned=variant == "pruned")
+            for variant in ("dense", "pruned")}
 
 
 class Stack:
-    """One set-up server: registry, optional fleet, socket server."""
+    """One set-up server: registry and socket server."""
 
-    def __init__(self, replicas: int, workdir: Path, on_batch):
-        from repro.io import save_model
-        from repro.qinfer.artifact import save_plan
-        from repro.serve import (ModelRegistry, ReplicaConfig, ReplicaRouter,
-                                 ReplicaSet, ReplicaSpec, SheddingConfig)
+    def __init__(self, on_batch):
+        from repro.serve import ModelRegistry, SheddingConfig
         from repro.serve.server import ServeConfig, ServerThread
 
         from .serve import MAX_BATCH, MODEL, REFS, SAMPLE_SHAPE, SOURCE
@@ -92,31 +67,7 @@ class Stack:
             self.registry.deploy(ref, "v1", model=model,
                                  input_shape=SAMPLE_SHAPE,
                                  seed=MODEL["seed"], **kwargs)
-        router = None
-        if replicas:
-            specs = []
-            for variant, ref in REFS.items():
-                if variant == "int8":
-                    # Replicas serve the same int8 engine, not a
-                    # requantisation: ship the compiled plan.
-                    _, active = self.registry.resolve(ref)
-                    path = workdir / f"{ref}.rplan"
-                    save_plan(active.engine.plan, path)
-                    specs.append(ReplicaSpec(ref, "v1", artifact=str(path)))
-                else:
-                    path = workdir / f"{ref}.npz"
-                    save_model(self.models[variant], path)
-                    specs.append(ReplicaSpec(ref, "v1",
-                                             checkpoint=str(path)))
-            # A relative socket directory keeps unix socket paths short
-            # wherever the checkout lives.
-            sockets = (workdir / "sockets").relative_to(Path.cwd())
-            router = ReplicaRouter(
-                ReplicaSet(ReplicaConfig(replicas=replicas,
-                                         max_batch=MAX_BATCH,
-                                         socket_dir=str(sockets))), specs)
-        self.server = ServerThread(self.registry, ServeConfig(),
-                                   router=router).start()
+        self.server = ServerThread(self.registry, ServeConfig()).start()
 
     def engines(self) -> dict:
         from .serve import REFS
@@ -124,14 +75,34 @@ class Stack:
                 for variant, ref in REFS.items()}
 
     def close(self) -> None:
-        self.server.stop()          # closes the router and the replicas
+        self.server.stop()
         self.registry.close()
 
 
+def timed_stack(on_batch) -> tuple[Stack, float]:
+    start = time.perf_counter()
+    stack = Stack(on_batch)
+    return stack, time.perf_counter() - start
+
+
+def spare_setups(n: int, on_batch) -> list[float]:
+    """Set-up times of ``n`` servers, each closed right after and
+    followed by a pause, so that they sample more than one second of
+    the host's changing speed."""
+    from .serve import SETUP_GAP_S
+
+    times = []
+    for _ in range(n):
+        stack, took = timed_stack(on_batch)
+        stack.close()
+        times.append(took)
+        time.sleep(SETUP_GAP_S)
+    return times
+
+
 def attach(tracer, engine_names: dict) -> None:
-    """Wrap the engine, the batcher's submit and the router's dispatch."""
+    """Wrap the engine and the batcher's submit."""
     from repro.infer import BatchRunner, InferenceEngine
-    from repro.serve import ReplicaRouter
 
     batch_start = threading.local()
 
@@ -168,9 +139,6 @@ def attach(tracer, engine_names: dict) -> None:
 
     original_run = tracer.replace(InferenceEngine, "run", run)
     original_submit = tracer.replace(BatchRunner, "submit", submit)
-    tracer.patch(ReplicaRouter, "dispatch_infer", "serve.router.dispatch",
-                 after=lambda r, a, k, elapsed: tracer.sample(
-                     "serve.router.dispatch_ms", elapsed * 1e3))
 
 
 def report(tracer) -> dict:
@@ -182,20 +150,16 @@ def report(tracer) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--replicas", type=int, default=0)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--setups", type=int, default=3)
-    parser.add_argument("--workdir", required=True)
     parser.add_argument("--trace", action="store_true")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
 
     from repro.flops import profile_model
 
-    from .serve import REFS, SAMPLE_SHAPE, SOURCE, payloads
+    from .serve import REFS, SAMPLE_SHAPE, SETUPS, SOURCE, payloads
     from .tracing import Tracer
 
-    workdir = Path(args.workdir)
     tracer = engine_names = on_batch = None
     if args.trace:
         tracer = Tracer()
@@ -207,18 +171,9 @@ def main(argv=None) -> int:
             if tracer.enabled:
                 tracer.sample("infer.batcher.batch_size", len(batch))
 
-    setup_s = []
-    stack = None
-    for i in range(args.setups):
-        if stack is not None:
-            stack.close()
-        start = time.perf_counter()
-        # Each set-up gets its own directory: no socket path of a closed
-        # fleet is reused.
-        setup_dir = workdir / f"setup{i}"
-        setup_dir.mkdir()
-        stack = Stack(args.replicas, setup_dir, on_batch)
-        setup_s.append(time.perf_counter() - start)
+    setup_s = spare_setups(SETUPS - 1, on_batch)
+    stack, took = timed_stack(on_batch)
+    setup_s.append(took)
     try:
         engines = stack.engines()
         if engine_names is not None:
@@ -234,9 +189,22 @@ def main(argv=None) -> int:
             cmd = line.strip()
             if cmd == "quit":
                 break
-            if tracer is None:
+            if cmd == "cpu":
+                print(json.dumps({"cpu_s": time.process_time()}),
+                      flush=True)
+            elif cmd == "setup":
+                # The spare servers' deploy gates run the engine: keep
+                # them out of the trace.
+                tracing = tracer is not None and tracer.enabled
+                if tracing:
+                    tracer.enabled = False
+                times = spare_setups(SETUPS, on_batch)
+                if tracing:
+                    tracer.enabled = True
+                print(json.dumps({"setup_s": times}), flush=True)
+            elif tracer is None:
                 continue
-            if cmd == "on":
+            elif cmd == "on":
                 tracer.enabled = True
             elif cmd == "reset":
                 tracer.reset()

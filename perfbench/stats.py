@@ -4,7 +4,6 @@
   reported only when at least :data:`MIN_BEYOND` samples lie beyond it;
 * open-loop timing: latency counts from a request's due time, so a
   stalled generator or server charges its wait to every later request;
-* the rate search behind ``max_rate_rps``;
 * self time and coverage of a traced span.
 """
 
@@ -59,81 +58,6 @@ def latencies_ms(due, done) -> list[float]:
 def late_ms_max(due, sent) -> float:
     """How far behind its schedule the generator ran, at worst."""
     return max(((s - t) * 1e3 for t, s in zip(due, sent)), default=0.0)
-
-
-def backlog_at_end(due, done) -> int:
-    """Requests still unanswered when the last one fell due."""
-    last = max(due)
-    return sum(1 for d in done if d is None or d > last)
-
-
-def point_ok(due, done, ok, rate: float, limit_ms: float, pct: float,
-             min_ok_share: float = 0.99) -> tuple[bool, dict]:
-    """Does one open-loop run at ``rate`` meet the service target?
-
-    The target: the ``pct``-th percentile latency (failures count as
-    infinite) within ``limit_ms``, at least ``min_ok_share`` of requests
-    answered ok, and no growing backlog — at the last due time no more
-    requests are outstanding than the limit's worth of arrivals at this
-    rate.
-    """
-    lat = latencies_ms(due, [d if good else None
-                             for d, good in zip(done, ok)])
-    tail_ms = tail(lat, pct)
-    share = sum(ok) / len(ok)
-    backlog = backlog_at_end(due, done)
-    allowed = max(1, math.ceil(rate * limit_ms / 1e3))
-    verdict = (tail_ms <= limit_ms and share >= min_ok_share
-               and backlog <= allowed)
-    return verdict, {"rate": rate, f"p{pct:g}_ms": tail_ms,
-                     "ok_share": share, "backlog": backlog,
-                     "backlog_allowed": allowed}
-
-
-def rate_search(start: float, step: float, resolution: float, floor: float,
-                ceiling: float):
-    """Search for the highest rate a probe accepts, to a relative
-    ``resolution``.
-
-    A generator: it yields the next rate to probe and takes the verdict
-    back through ``send``; its return value (``StopIteration.value``) is
-    the answer. It multiplies ``start`` by ``step`` until a rate fails
-    (or ``ceiling`` passes), divides when ``start`` itself fails, then
-    bisects geometrically until the passing and failing rates are within
-    ``1 + resolution`` of each other. The answer is the highest passing
-    rate seen, or ``floor`` when even that fails.
-    """
-    if not 0 < floor <= start <= ceiling or step <= 1:
-        raise ValueError("need 0 < floor <= start <= ceiling and step > 1")
-    lo = hi = None
-    rate = start
-    if (yield rate):
-        lo = rate
-        while hi is None:
-            rate = min(rate * step, ceiling)
-            if rate == lo:
-                return lo
-            if (yield rate):
-                lo = rate
-            else:
-                hi = rate
-    else:
-        hi = rate
-        while lo is None:
-            rate = max(rate / step, floor)
-            if rate == hi:
-                return floor
-            if (yield rate):
-                lo = rate
-            else:
-                hi = rate
-    while hi / lo > 1 + resolution:
-        rate = math.sqrt(lo * hi)
-        if (yield rate):
-            lo = rate
-        else:
-            hi = rate
-    return lo
 
 
 # -- traced spans -------------------------------------------------------

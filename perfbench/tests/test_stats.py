@@ -58,113 +58,6 @@ def test_generator_lateness():
     assert stats.late_ms_max([], []) == 0.0
 
 
-def _point(rate, n, latency_ms, ok=None, tail_ms=None, tail_count=0):
-    due = [i / rate for i in range(n)]
-    lat = [latency_ms] * n
-    if tail_ms is not None:
-        for i in range(tail_count):
-            lat[i] = tail_ms
-    done = [t + ms / 1e3 for t, ms in zip(due, lat)]
-    return due, done, ok if ok is not None else [True] * n
-
-
-def test_point_ok_accepts_a_quiet_run():
-    due, done, ok = _point(100.0, 1000, 3.0)
-    verdict, info = stats.point_ok(due, done, ok, 100.0, 25.0, 99)
-    assert verdict
-    assert info["p99_ms"] == pytest.approx(3.0)
-    assert info["backlog"] == 1             # only the last request
-
-
-def test_point_ok_p99_rule():
-    # Ten slow requests sit beyond p99 of 1000: still a pass.
-    due, done, ok = _point(100.0, 1000, 3.0, tail_ms=80.0, tail_count=10)
-    assert stats.point_ok(due, done, ok, 100.0, 25.0, 99)[0]
-    # Eleven do not.
-    due, done, ok = _point(100.0, 1000, 3.0, tail_ms=80.0, tail_count=11)
-    assert not stats.point_ok(due, done, ok, 100.0, 25.0, 99)[0]
-
-
-def test_point_ok_p90_rule():
-    # 50 slow requests sit beyond p90 of 500: a pass; 51 do not.
-    due, done, ok = _point(100.0, 500, 3.0, tail_ms=80.0, tail_count=50)
-    verdict, info = stats.point_ok(due, done, ok, 100.0, 25.0, 90)
-    assert verdict and info["p90_ms"] == pytest.approx(3.0)
-    due, done, ok = _point(100.0, 500, 3.0, tail_ms=80.0, tail_count=51)
-    assert not stats.point_ok(due, done, ok, 100.0, 25.0, 90)[0]
-
-
-def test_point_ok_counts_failures_against_attempts():
-    due, done, ok = _point(100.0, 1000, 3.0)
-    ok = [i >= 11 for i in range(1000)]      # 11 failed fast
-    verdict, info = stats.point_ok(due, done, ok, 100.0, 25.0, 99)
-    assert not verdict
-    assert info["ok_share"] == pytest.approx(0.989)
-
-
-def test_point_ok_rejects_a_growing_backlog():
-    # Every request answered within the limit of its own arrival, but
-    # more requests are still unanswered at the last due time than the
-    # limit's worth of arrivals (3 at 100 rps and 25 ms).
-    n = 1000
-    due = [i / 100.0 for i in range(n)]
-    done = [t + 0.002 for t in due]
-    for i in range(n - 4, n):
-        done[i] = due[-1] + 0.02
-    verdict, info = stats.point_ok(due, done, [True] * n, 100.0, 25.0, 99)
-    assert info["backlog_allowed"] == 3
-    assert info["backlog"] == 4
-    assert not verdict
-
-
-# -- rate search --------------------------------------------------------
-
-
-def _search(knee, start=200.0, step=2.0, resolution=0.04, floor=25.0,
-            ceiling=5000.0):
-    """Drive the search with a probe that passes up to ``knee``."""
-    probed = []
-    search = stats.rate_search(start, step, resolution, floor, ceiling)
-    try:
-        rate = next(search)
-        while True:
-            probed.append(rate)
-            rate = search.send(rate <= knee)
-    except StopIteration as stop:
-        return stop.value, probed
-
-
-@pytest.mark.parametrize("knee", [210.0, 336.0, 399.0, 777.0, 3100.0])
-def test_rate_search_brackets_the_knee_within_resolution(knee):
-    found, probed = _search(knee)
-    assert found <= knee
-    assert knee / found <= 1.04 + 1e-9
-    # The failing rate closest above the answer is within resolution.
-    above = min(r for r in probed if r > knee)
-    assert above / found <= 1.04 + 1e-9
-
-
-def test_rate_search_goes_down_when_start_fails():
-    found, probed = _search(60.0)
-    assert probed[:3] == [200.0, 100.0, 50.0]
-    assert found <= 60.0 < found * 1.04
-
-
-def test_rate_search_bottoms_out_at_floor():
-    found, _ = _search(1.0)
-    assert found == 25.0
-
-
-def test_rate_search_stops_at_ceiling():
-    found, probed = _search(1e9)
-    assert found == 5000.0
-    assert max(probed) == 5000.0
-
-
-def test_rate_search_is_deterministic():
-    assert _search(333.0) == _search(333.0)
-
-
 # -- self time and coverage ---------------------------------------------
 
 
