@@ -14,7 +14,10 @@ Three pillars, all exposed through knobs on the existing APIs
 * :mod:`~repro.parallel.supervisor` / :mod:`~repro.parallel.reaper` — the
   self-healing layer: heartbeats, watchdog deadlines, worker respawn with
   deterministic retry, graceful serial fallback, and the shared-memory
-  ledger that reclaims segments after crashes (including SIGKILL).
+  ledger that reclaims segments after crashes (including SIGKILL);
+* :mod:`~repro.parallel.threads` — the BLAS thread budget of the
+  supervised pools and the replica tier: processes × BLAS threads ≤
+  usable CPUs.
 
 See ``docs/performance.md`` for the architecture and the determinism
 contract, and ``docs/supervision.md`` for the fault model and tuning

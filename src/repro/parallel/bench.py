@@ -21,10 +21,11 @@ the pool is persistent across evaluations in real runs). Entry point:
 from __future__ import annotations
 
 import json
-import os
 import time
 
 import numpy as np
+
+from . import threads
 
 __all__ = ["BENCH_CONFIG", "SMOKE_CONFIG", "run_bench", "write_bench",
            "format_table"]
@@ -74,6 +75,24 @@ def _best_seconds(fn, repeats: int) -> float:
         fn()
         samples.append(time.perf_counter() - start)
     return float(min(samples))
+
+
+class _BlasThreadsProbe:
+    """Pool service answering each task with its worker's BLAS threads."""
+
+    def handle(self, task):
+        return threads.blas_threads()
+
+
+def _blas_threads_record(processes: int) -> dict:
+    """BLAS threads of the parent (alone and with a pool open) and of
+    each worker of a ``processes``-seat pool, as the processes report
+    them."""
+    from .supervisor import SupervisedWorkerPool
+    alone = threads.blas_threads()
+    with SupervisedWorkerPool(processes, _BlasThreadsProbe) as pool:
+        return {"parent": alone, "parent_with_pool": threads.blas_threads(),
+                "workers": pool.run_tasks([None] * processes)}
 
 
 def _reports_identical(a, b) -> bool:
@@ -204,7 +223,9 @@ def _assert_finetune_healthy(finetune: dict, cpus: int,
       beat the serial autograd epoch outright. On smaller machines a
       wall-clock speedup is physically unavailable, so the gate is the
       thing this implementation actually controls: per-step parent-side
-      overhead must be at least 3× below the pre-bucketing baseline.
+      overhead must be at least 3× below the pre-bucketing baseline, and
+      the sharded epoch may not collapse below 0.5× autograd (2-3 CPUs,
+      full workload) or 0.25× (one CPU, or the smoke workload).
     """
     sharded_s = finetune["sharded_s"]
     drift = abs(finetune["phase_sum_s"] - sharded_s)
@@ -227,10 +248,14 @@ def _assert_finetune_healthy(finetune: dict, cpus: int,
                 f"ms/step exceeds {cap:.1f}ms — less than the required 3x "
                 f"reduction vs the pre-bucketing baseline "
                 f"({PRE_BUCKETING_TOTAL_MS}ms/step)")
-        if finetune["sharded_speedup"] < 0.25:
+        # With the BLAS thread budget two cores no longer oversubscribe:
+        # ten full 2-CPU runs read 0.70-0.86x. The smoke workload is too
+        # small to amortise the per-step coordination (0.28-0.39x).
+        floor = 0.5 if cpus >= 2 and not smoke else 0.25
+        if finetune["sharded_speedup"] < floor:
             raise AssertionError(
                 f"sharded_speedup {finetune['sharded_speedup']} collapsed "
-                "below 0.25x even for a small machine")
+                f"below {floor}x even for a small machine")
 
 
 def run_bench(workers: int = 4, repeats: int = 3, smoke: bool = False,
@@ -249,10 +274,8 @@ def run_bench(workers: int = 4, repeats: int = 3, smoke: bool = False,
     if smoke:
         workers = min(workers, 2)
         repeats = min(repeats, 2)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
+    cpus = threads.usable_cpus()
+    processes = resolve_processes(workers)
     finetune = _bench_finetune(config["finetune"], workers, repeats, seed,
                                transport=transport)
     _assert_finetune_healthy(finetune, cpus, smoke)
@@ -260,8 +283,9 @@ def run_bench(workers: int = 4, repeats: int = 3, smoke: bool = False,
         "benchmark": "repro.parallel scoring + fine-tuning",
         "smoke": bool(smoke),
         "workers": int(workers),
-        "physical_processes": resolve_processes(workers),
-        "cpu_count": int(cpus),
+        "physical_processes": processes,
+        "usable_cpus": cpus,
+        "blas_threads": _blas_threads_record(processes),
         "repeats": int(repeats),
         "numpy": np.__version__,
         "scoring": _bench_scoring(config["scoring"], workers, repeats, seed),
@@ -278,10 +302,14 @@ def write_bench(results: dict, path) -> None:
 def format_table(results: dict) -> str:
     s = results["scoring"]
     f = results["finetune"]
+    blas = results["blas_threads"]
     lines = [
         f"workers={results['workers']} "
         f"(physical processes={results['physical_processes']}, "
-        f"cpus={results['cpu_count']})",
+        f"usable cpus={results['usable_cpus']})",
+        f"blas threads: parent={blas['parent']} "
+        f"parent with pool={blas['parent_with_pool']} "
+        f"workers={blas['workers']}",
         "",
         f"scoring   {s['model']:<10} classes={s['num_classes']:<4} "
         f"M={s['images_per_class']:<3} serial={s['serial_s']:.3f}s "

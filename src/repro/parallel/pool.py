@@ -30,6 +30,7 @@ import os
 import queue as queue_mod
 import traceback
 
+from . import threads
 from .errors import ParallelExecutionError
 
 __all__ = ["WorkerPool", "EchoService", "CRASH_TASK", "resolve_processes"]
@@ -53,11 +54,7 @@ def resolve_processes(workers: int, processes: int | None = None) -> int:
         if env:
             processes = int(env)
     if processes is None:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            cpus = os.cpu_count() or 1
-        processes = min(workers, max(1, cpus))
+        processes = min(workers, threads.usable_cpus())
     return max(1, min(int(processes), workers))
 
 

@@ -64,7 +64,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from ..resilience.retry import RetryPolicy
-from . import reaper
+from . import reaper, threads
 from .errors import ParallelExecutionError, TaskFailedError
 from .pool import _ERR, _INIT_ERR, _OK, _READY, CRASH_TASK
 
@@ -235,8 +235,10 @@ class _ResultChannel:
 
 
 def _supervised_worker_main(worker_id, start_method, service_cls, init_args,
-                            task_q, channel, heartbeats, beat_interval):
+                            task_q, channel, heartbeats, beat_interval,
+                            blas_threads):
     """Worker body: heartbeat thread + the plain service loop."""
+    threads.set_blas_threads(blas_threads)
     stop_beat = threading.Event()
 
     def beat():
@@ -378,11 +380,16 @@ class SupervisedWorkerPool:
         self._lock = threading.Lock()
         self._heartbeats = self._ctx.Array("d", processes, lock=False)
         self._slots = [_Slot(i) for i in range(processes)]
-        for slot in self._slots:
-            self._spawn(slot)
         self._watchdog = _Watchdog(self)
-        self._watchdog.start()
+        #: BLAS threads of every worker and, while the pool is open, of
+        #: the parent — whose degrade path must compute like a worker
+        #: (see :mod:`repro.parallel.threads`).
+        self.blas_threads = threads.budget(processes)
+        threads.hold(self.blas_threads)
         try:
+            for slot in self._slots:
+                self._spawn(slot)
+            self._watchdog.start()
             self._await_ready()
         except BaseException:
             self.close()
@@ -414,7 +421,8 @@ class SupervisedWorkerPool:
                 target=_supervised_worker_main,
                 args=(slot.worker_id, self._start_method, self._service_cls,
                       self._init_args, slot.task_q, slot.channel,
-                      self._heartbeats, self.supervision.heartbeat_seconds),
+                      self._heartbeats, self.supervision.heartbeat_seconds,
+                      self.blas_threads),
                 daemon=True,
                 name=f"repro-supervised-worker-{slot.worker_id}")
             slot.state = _STARTING
@@ -711,6 +719,7 @@ class SupervisedWorkerPool:
         if self._closed:
             return
         self._closed = True
+        threads.release(self.blas_threads)
         self._watchdog.stop()
         for slot in self._slots:
             if slot.proc is None:

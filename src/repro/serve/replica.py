@@ -38,7 +38,9 @@ public server):
   "deadline_ms": ...}`` — batched inference; replies may arrive out of
   order (the ticket callback writes the response under a write lock).
 * ``{"op": "stats"}`` — counters + retained latency samples for
-  fleet-wide aggregation; ``{"op": "chaos"}`` (only when
+  fleet-wide aggregation, and the replica's BLAS thread count (each
+  replica takes ``budget(replicas)`` from
+  :mod:`repro.parallel.threads` at spawn); ``{"op": "chaos"}`` (only when
   ``allow_chaos=True``) wedges the service for hang drills.
 """
 
@@ -56,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..parallel import reaper
+from ..parallel import reaper, threads
 from ..parallel.supervisor import WorkerEvent
 from ..resilience.retry import RetryPolicy
 
@@ -326,6 +328,7 @@ class _ReplicaService:
         return {
             "replica": self.replica_id,
             "pid": os.getpid(),
+            "blas_threads": threads.blas_threads(),
             "counters": dict(self.metrics.counters),
             "latency": self.metrics.snapshot()["latency"],
             "latency_samples": self.metrics.latency_samples(),
@@ -337,6 +340,7 @@ class _ReplicaService:
 def _replica_main(replica_id: int, socket_path: str, heartbeats,
                   config: ReplicaConfig) -> None:
     """Process entry point: heartbeat thread + threaded socket service."""
+    threads.set_blas_threads(threads.budget(config.replicas))
     service = _ReplicaService(replica_id, config)
 
     def beat() -> None:

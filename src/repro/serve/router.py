@@ -623,6 +623,7 @@ class ReplicaRouter:
             entry["counters"] = stats.get("counters", {})
             entry["latency"] = stats.get("latency")
             entry["models"] = stats.get("models")
+            entry["blas_threads"] = stats.get("blas_threads")
             samples = stats.get("latency_samples", [])
             lifetime = (stats.get("latency") or {}).get("count")
             reservoirs.append(LatencyReservoir.from_samples(
