@@ -73,7 +73,12 @@ def set_blas_threads(n: int) -> int | None:
     funcs = _openblas()
     if funcs is None:
         return None
-    funcs[1](max(1, int(n)))
+    n = max(1, int(n))
+    # Skip a call that changes nothing: in a forked child it would restart
+    # OpenBLAS's thread server, whose idle threads spin for a while (about
+    # 20 ms of CPU per worker start-up on a 2-CPU host).
+    if funcs[0]() != n:
+        funcs[1](n)
     return int(funcs[0]())
 
 

@@ -76,10 +76,12 @@ class TestBudget:
 
 
 class TestPool:
-    def test_workers_report_the_budget(self, two_threads):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_report_the_budget(self, two_threads, start_method):
         expected = threads.budget(2)
         assert expected == 1
         with SupervisedWorkerPool(2, BlasThreadsService, (),
+                                  start_method=start_method,
                                   supervision=SupervisionConfig(**FAST)) as pool:
             assert pool.blas_threads == expected
             assert pool.run_tasks([None, None]) == [expected, expected]
