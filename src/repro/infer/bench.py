@@ -21,13 +21,13 @@ refreshes ``BENCH_infer.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
 
 import numpy as np
 
+from ..bench import format_host, host_record, write_bench
 from ..core.surgery import group_sizes, prune_groups
 from ..models import build_model
 from ..tensor import Tensor, no_grad
@@ -207,15 +207,9 @@ def run_bench(models: dict[str, dict] | None = None,
         "repeats": int(repeats),
         "batch_sizes": [int(b) for b in batch_sizes],
         "prune_fraction": _PRUNE_FRACTION,
-        "numpy": np.__version__,
+        **host_record(),
         "entries": entries,
     }
-
-
-def write_bench(results: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
 
 
 def format_table(results: dict) -> str:
@@ -225,7 +219,7 @@ def format_table(results: dict) -> str:
               f"{'max|Δ|':>9}")
     if quant:
         header += f" {'bytes':>9} {'ratio':>6} {'top1':>5}"
-    lines = [header, "-" * len(header)]
+    lines = [format_host(results), header, "-" * len(header)]
     for e in results["entries"]:
         row = (f"{e['model']:<10} {e['variant']:<7} "
                f"{e.get('engine', 'fp32'):<6} {e['batch']:>5} "

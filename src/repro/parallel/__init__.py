@@ -9,12 +9,15 @@ Three pillars, all exposed through knobs on the existing APIs
 * :mod:`~repro.parallel.shard` — data-parallel fine-tuning: batch shards
   are evaluated in workers and their gradients all-reduced into the
   parent's SGD step;
-* :mod:`~repro.parallel.pool` / :mod:`~repro.parallel.shm` — the process
-  pool and shared-memory ndarray transport underneath both;
-* :mod:`~repro.parallel.supervisor` / :mod:`~repro.parallel.reaper` — the
-  self-healing layer: heartbeats, watchdog deadlines, worker respawn with
-  deterministic retry, graceful serial fallback, and the shared-memory
-  ledger that reclaims segments after crashes (including SIGKILL);
+* :mod:`~repro.parallel.supervisor` — the one process supervisor
+  (:class:`ProcessSupervisor`: heartbeats, watchdog deadlines, respawn
+  budget, degrade) and the self-healing worker pool built on it
+  (:class:`SupervisedWorkerPool`: deterministic task retry, graceful
+  serial fallback); the serving tier's replica processes run on the
+  same core;
+* :mod:`~repro.parallel.shm` / :mod:`~repro.parallel.reaper` — the
+  shared-memory ndarray transport, and the ledger that reclaims
+  segments after crashes (including SIGKILL);
 * :mod:`~repro.parallel.threads` — the BLAS thread budget of the
   supervised pools and the replica tier: processes × BLAS threads ≤
   usable CPUs.
@@ -26,18 +29,18 @@ knobs of the supervision layer.
 
 from .bucket import BucketPlan
 from .errors import ParallelExecutionError, TaskFailedError
-from .pool import CRASH_TASK, EchoService, WorkerPool, resolve_processes
 from .scoring import (FusedTaylorScorer, ScoringService, ScoringSession,
                       aggregate_scores_fast)
 from .shm import SharedArrayBundle, ShmSpec
-from .supervisor import (HANG_TASK, STALL_HEARTBEAT_TASK,
+from .supervisor import (CRASH_TASK, HANG_TASK, STALL_HEARTBEAT_TASK,
+                         EchoService, ProcessSupervisor,
                          SupervisedWorkerPool, SupervisionConfig,
-                         WorkerEvent)
+                         WorkerEvent, resolve_processes)
 
 __all__ = [
     "ParallelExecutionError",
     "TaskFailedError",
-    "WorkerPool",
+    "ProcessSupervisor",
     "SupervisedWorkerPool",
     "SupervisionConfig",
     "WorkerEvent",

@@ -20,11 +20,11 @@ the pool is persistent across evaluations in real runs). Entry point:
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 
+from ..bench import format_host, host_record, write_bench
 from . import threads
 
 __all__ = ["BENCH_CONFIG", "SMOKE_CONFIG", "run_bench", "write_bench",
@@ -268,7 +268,7 @@ def run_bench(workers: int = 4, repeats: int = 3, smoke: bool = False,
     machine-appropriate performance floor — the benchmark doubles as an
     end-to-end determinism and performance check.
     """
-    from .pool import resolve_processes
+    from .supervisor import resolve_processes
 
     config = SMOKE_CONFIG if smoke else BENCH_CONFIG
     if smoke:
@@ -284,32 +284,20 @@ def run_bench(workers: int = 4, repeats: int = 3, smoke: bool = False,
         "smoke": bool(smoke),
         "workers": int(workers),
         "physical_processes": processes,
-        "usable_cpus": cpus,
-        "blas_threads": _blas_threads_record(processes),
         "repeats": int(repeats),
-        "numpy": np.__version__,
+        **host_record(**_blas_threads_record(processes)),
         "scoring": _bench_scoring(config["scoring"], workers, repeats, seed),
         "finetune": finetune,
     }
 
 
-def write_bench(results: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
-
-
 def format_table(results: dict) -> str:
     s = results["scoring"]
     f = results["finetune"]
-    blas = results["blas_threads"]
     lines = [
+        format_host(results),
         f"workers={results['workers']} "
-        f"(physical processes={results['physical_processes']}, "
-        f"usable cpus={results['usable_cpus']})",
-        f"blas threads: parent={blas['parent']} "
-        f"parent with pool={blas['parent_with_pool']} "
-        f"workers={blas['workers']}",
+        f"(physical processes={results['physical_processes']})",
         "",
         f"scoring   {s['model']:<10} classes={s['num_classes']:<4} "
         f"M={s['images_per_class']:<3} serial={s['serial_s']:.3f}s "

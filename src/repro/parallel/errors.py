@@ -6,18 +6,14 @@ __all__ = ["ParallelExecutionError", "TaskFailedError"]
 
 
 class ParallelExecutionError(RuntimeError):
-    """A worker process failed (crashed, died, or raised inside a task).
+    """A worker pool is unusable: it is closed, or it failed to start.
 
-    Raised by :class:`repro.parallel.WorkerPool` whenever a task cannot be
-    completed: the worker raised an exception (the remote traceback is
-    included in the message), the process died without reporting a result
-    (its exit code is included), or initialisation of the worker-side
-    service failed. The pool is unusable after this error and must be
-    recreated; the parent process and its model state are unaffected.
-
-    The supervised pool (:class:`repro.parallel.SupervisedWorkerPool`)
-    raises this only for unusable-pool states (closed pool, start-up
-    failure); worker deaths and hangs are self-healed instead.
+    Raised by :class:`repro.parallel.SupervisedWorkerPool` for a closed
+    pool and for a start-up failure (a worker died during start-up, with
+    its exit code in the message, or the worker-side service failed to
+    initialise, with the remote traceback). Worker deaths and hangs
+    after start-up are self-healed instead; the parent process and its
+    model state are never affected.
     """
 
 

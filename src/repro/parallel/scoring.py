@@ -2,8 +2,9 @@
 
 Serial :meth:`ImportanceEvaluator.evaluate` runs ``num_classes`` strictly
 sequential forward+backward passes. This module fans those per-class
-evaluations across a persistent :class:`~repro.parallel.WorkerPool` and
-reduces the per-class score columns into the same
+evaluations across a persistent
+:class:`~repro.parallel.SupervisedWorkerPool` and reduces the per-class
+score columns into the same
 :class:`~repro.core.importance.ImportanceReport`, **bit-identical** to the
 serial result under a fixed seed. Three independent properties make the
 bit-identity structural rather than lucky:
@@ -338,9 +339,8 @@ class ScoringSession:
                  group_paths: list[str], workers: int,
                  processes: int | None = None, supervision=None,
                  on_event=None):
-        from .pool import resolve_processes
         from .shm import SharedArrayBundle
-        from .supervisor import SupervisedWorkerPool
+        from .supervisor import SupervisedWorkerPool, resolve_processes
 
         arch = getattr(model, "arch", None)
         if not isinstance(arch, dict) or "name" not in arch:

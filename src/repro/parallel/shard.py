@@ -308,10 +308,9 @@ class ShardedTrainingSession:
                  on_event=None, bucket_bytes: int = DEFAULT_BUCKET_BYTES,
                  transport: str = "fp32"):
         from ..nn import BatchNorm2d
-        from .pool import resolve_processes
         from .scoring import _bind_state_views
         from .shm import SharedArrayBundle
-        from .supervisor import SupervisedWorkerPool
+        from .supervisor import SupervisedWorkerPool, resolve_processes
 
         arch = getattr(model, "arch", None)
         if not isinstance(arch, dict) or "name" not in arch:

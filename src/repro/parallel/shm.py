@@ -42,7 +42,7 @@ _ALIGN = 64
 #: tracker would otherwise destroy the segment when the worker exits.
 #: Harmful everywhere else: fork workers share the parent's tracker
 #: daemon, so unregistering there would strip the parent's legitimate
-#: registration. ``WorkerPool`` sets this per worker at start-up.
+#: registration. ``SupervisedWorkerPool`` sets this per worker at start-up.
 _UNTRACK_ON_ATTACH = False
 
 

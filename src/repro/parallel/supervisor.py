@@ -1,28 +1,48 @@
-"""Supervised, self-healing worker pool.
+"""Process supervision: one seat lifecycle for worker pools and replicas.
 
-:class:`~repro.parallel.pool.WorkerPool` treats any worker fault as
-terminal: a crash raises :class:`ParallelExecutionError` and the whole
-run dies. This module wraps the same worker/service contract in a
-supervision layer that *recovers* instead:
+:class:`ProcessSupervisor` keeps a fixed number of *seats*, each
+occupied by one child process that may be replaced. It is the one
+supervision core of the package; two subclasses add only what is their
+own:
 
-* **heartbeats** — every worker runs a daemon thread stamping a shared
-  timestamp slot; a frozen process (SIGSTOP, livelock outside the
-  interpreter) goes silent and is detected even when idle;
-* **watchdog** — a parent-side thread enforces two deadlines: heartbeat
-  staleness and per-task wall-clock. Violators are SIGKILLed, which
-  funnels every fault (crash, hang, freeze) into one observable — a dead
-  process — handled by the dispatch loop;
-* **respawn + deterministic retry** — dead workers are respawned (bounded
-  by ``max_respawns``, paced by a seeded
-  :class:`~repro.resilience.retry.RetryPolicy` backoff) and their
-  in-flight task is re-dispatched (bounded by ``max_task_retries``).
-  Tasks are *idempotent by construction* in this codebase: each task is a
-  pure function of shared-memory inputs that writes only its own output
-  slots, so a re-run — even a double run when a killed worker already
-  delivered — produces bit-identical results;
+* :class:`SupervisedWorkerPool` — the task pool under class-parallel
+  scoring and sharded fine-tuning: task queues, result channels, the
+  parent's BLAS thread hold, the serial fallback and
+  :class:`TaskPipeline`;
+* :class:`~repro.serve.replica.ReplicaSet` — the replica processes of
+  the serving tier: the socket directory and each generation's socket
+  and pid file in the reaper ledger.
+
+The core turns every fault into one observable and recovers from it:
+
+* **heartbeats** — every child runs a daemon thread (:func:`heartbeat`)
+  stamping its slot of a shared array; a frozen process (SIGSTOP,
+  livelock outside the interpreter) goes silent and is detected even
+  when idle;
+* **watchdog** — one parent-side thread enforces heartbeat staleness for
+  every seat, and the deadline of a seat that arms one (a pool seat's
+  task or start-up). Violators are SIGKILLed through
+  :meth:`ProcessSupervisor.kill`, which records the fault kind (``stale``,
+  ``hang``; ``crash`` for other kills) on the seat. That funnels every
+  fault — crash, hang, freeze — into one observable, a dead process;
+* **respawn budget** — dead seats are respawned within a set-wide
+  ``max_respawns`` budget, paced by a seeded
+  :class:`~repro.resilience.retry.RetryPolicy` backoff;
+* **degrade** — once the budget is spent, :meth:`ProcessSupervisor.degrade`
+  flips ``degraded`` and emits exactly one ``degrade`` event, however
+  many callers ask for it.
+
+What the pool adds on top:
+
+* **deterministic retry** — a dead worker's in-flight task is
+  re-dispatched (bounded by ``max_task_retries``). Tasks are *idempotent
+  by construction* in this codebase: each task is a pure function of
+  shared-memory inputs that writes only its own output slots, so a
+  re-run — even a double run when a killed worker already delivered —
+  produces bit-identical results;
 * **graceful serial fallback** — when a budget is exhausted (a poison
   task that kills every host, or more faults than ``max_respawns``), the
-  supervisor stops the pool and finishes the remaining tasks *serially in
+  pool stops its workers and finishes the remaining tasks *serially in
   the parent* with a parent-side service instance. The run completes,
   ``degraded`` flips to True, and callers surface
   ``stop_reason="parallel-degraded"`` instead of an exception.
@@ -31,8 +51,8 @@ Worker-raised exceptions (``_ERR``) are *not* retried: a deterministic
 task raises identically on every host, so the remote traceback surfaces
 immediately as :class:`~repro.parallel.errors.TaskFailedError`.
 
-Fault drills use the task sentinels :data:`CRASH_TASK` (from the plain
-pool), :data:`HANG_TASK` (busy-sleep forever, heartbeat healthy — only
+Fault drills use the task sentinels :data:`CRASH_TASK` (exit without a
+result), :data:`HANG_TASK` (busy-sleep forever, heartbeat healthy — only
 the task deadline can catch it) and :data:`STALL_HEARTBEAT_TASK` (stop
 heartbeating, then sleep — only the staleness deadline can catch it).
 
@@ -66,10 +86,15 @@ from dataclasses import dataclass, field
 from ..resilience.retry import RetryPolicy
 from . import reaper, threads
 from .errors import ParallelExecutionError, TaskFailedError
-from .pool import _ERR, _INIT_ERR, _OK, _READY, CRASH_TASK
 
-__all__ = ["SupervisionConfig", "WorkerEvent", "SupervisedWorkerPool",
-           "TaskPipeline", "HANG_TASK", "STALL_HEARTBEAT_TASK"]
+__all__ = ["SupervisionConfig", "WorkerEvent", "ProcessSupervisor", "Seat",
+           "SupervisedWorkerPool", "TaskPipeline", "EchoService", "heartbeat",
+           "resolve_processes", "CRASH_TASK", "HANG_TASK",
+           "STALL_HEARTBEAT_TASK"]
+
+#: Sentinel task that makes a worker die without reporting a result.
+#: Used by the resilience drills and tests to exercise crash detection.
+CRASH_TASK = "__repro.parallel.crash__"
 
 #: Sentinel task making a worker loop forever while its heartbeat stays
 #: healthy — detectable only through the per-task deadline.
@@ -79,7 +104,41 @@ HANG_TASK = "__repro.parallel.hang__"
 #: sleeps — detectable only through heartbeat staleness.
 STALL_HEARTBEAT_TASK = "__repro.parallel.stall-heartbeat__"
 
+_READY, _OK, _ERR, _INIT_ERR = "ready", "ok", "err", "init-err"
 _IDLE, _STARTING, _BUSY, _DEAD = "idle", "starting", "busy", "dead"
+
+
+def resolve_processes(workers: int, processes: int | None = None) -> int:
+    """Physical process count for ``workers`` logical shards.
+
+    Logical workers are how the *caller* shards its work (the
+    ``workers=N`` knob, part of the determinism contract); physical
+    processes are how many OS processes execute the shards. Defaults to
+    ``min(workers, usable CPUs)`` where "usable" honours the CPU affinity
+    mask; the ``REPRO_PARALLEL_PROCESSES`` environment variable or the
+    ``processes`` argument overrides it. Results do not depend on this
+    number — only wall-clock does, because results are reassembled by
+    task index, not by arrival order.
+    """
+    if processes is None:
+        env = os.environ.get("REPRO_PARALLEL_PROCESSES")
+        if env:
+            processes = int(env)
+    if processes is None:
+        processes = min(workers, threads.usable_cpus())
+    return max(1, min(int(processes), workers))
+
+
+class EchoService:
+    """Trivial service returning its tasks verbatim (tests and drills)."""
+
+    def __init__(self, tag: str = ""):
+        self.tag = tag
+
+    def handle(self, task):
+        if isinstance(task, dict) and task.get("raise"):
+            raise ValueError(task["raise"])
+        return (self.tag, task)
 
 
 @dataclass(frozen=True)
@@ -234,23 +293,34 @@ class _ResultChannel:
         self._buf.clear()
 
 
+def heartbeat(heartbeats, seat_id: int, interval: float,
+              stop: threading.Event) -> None:
+    """Child side of the heartbeat: stamp ``heartbeats[seat_id]`` every
+    ``interval`` seconds from a daemon thread until ``stop`` is set."""
+
+    def beat():
+        while not stop.is_set():
+            heartbeats[seat_id] = time.monotonic()
+            stop.wait(interval)
+
+    threading.Thread(target=beat, daemon=True,
+                     name=f"repro-heartbeat-{seat_id}").start()
+
+
 def _supervised_worker_main(worker_id, start_method, service_cls, init_args,
                             task_q, channel, heartbeats, beat_interval,
                             blas_threads):
-    """Worker body: heartbeat thread + the plain service loop."""
+    """Worker body: heartbeat thread + the service loop."""
     threads.set_blas_threads(blas_threads)
     stop_beat = threading.Event()
-
-    def beat():
-        while not stop_beat.is_set():
-            heartbeats[worker_id] = time.monotonic()
-            stop_beat.wait(beat_interval)
-
-    threading.Thread(target=beat, daemon=True,
-                     name=f"repro-heartbeat-{worker_id}").start()
+    heartbeat(heartbeats, worker_id, beat_interval, stop_beat)
     channel.bind_worker()
     try:
         from . import shm
+
+        # Spawn workers own a private resource tracker that must not tear
+        # shared segments down on worker exit; fork workers share the
+        # parent's tracker, which must be left alone (see shm module doc).
         shm._UNTRACK_ON_ATTACH = start_method == "spawn"
         service = service_cls(*init_args)
     except BaseException:  # noqa: BLE001 - report any init failure
@@ -277,130 +347,117 @@ def _supervised_worker_main(worker_id, start_method, service_cls, init_args,
             channel.send((_ERR, index, traceback.format_exc()))
 
 
-class _Slot:
-    """Parent-side state of one worker seat (process may be replaced)."""
+class Seat:
+    """Parent-side state of one supervised seat (its process may be
+    replaced): the current process, its generation, why it was killed,
+    and its armed deadline."""
 
-    __slots__ = ("worker_id", "proc", "task_q", "channel", "state",
-                 "task_index", "deadline_at", "kill_reason")
-
-    def __init__(self, worker_id: int):
-        self.worker_id = worker_id
+    def __init__(self, seat_id: int):
+        self.seat_id = seat_id
         self.proc = None
-        self.task_q = None
-        self.channel: _ResultChannel | None = None
-        self.state = _DEAD
-        self.task_index: int | None = None
-        self.deadline_at: float = float("inf")
+        self.generation = 0              # incarnations started so far
         self.kill_reason: str | None = None
+        self.kill_kind: str | None = None
+        self.deadline_at: float = float("inf")
+        self.deadline_note = ""
+
+    @property
+    def alive(self) -> bool:
+        return self.proc is not None and self.proc.is_alive()
+
+    @property
+    def restarts(self) -> int:
+        return max(0, self.generation - 1)
+
+    def arm(self, seconds: float, what: str) -> None:
+        """Give the current incarnation ``seconds`` to finish ``what``;
+        the watchdog kills it as hung past that."""
+        self.deadline_at = time.monotonic() + seconds
+        self.deadline_note = f"{what} exceeded the {seconds}s deadline"
+
+    def disarm(self) -> None:
+        self.deadline_at = float("inf")
 
 
-class _Watchdog(threading.Thread):
-    """Scans worker liveness; kills hung or frozen workers.
+class ProcessSupervisor:
+    """Seat lifecycle shared by :class:`SupervisedWorkerPool` and
+    :class:`~repro.serve.replica.ReplicaSet`.
 
-    The watchdog never respawns or re-dispatches — it only converts the
-    two invisible failure modes (hang, freeze) into the visible one (a
-    dead process), which the dispatch loop then handles. The kill reason
-    is recorded on the slot so the event is labelled correctly.
+    Owns the seats, the shared heartbeat array, the watchdog, the
+    set-wide respawn budget, the one idempotent :meth:`degrade`, event
+    emission and :meth:`close`. A subclass says what process occupies a
+    seat (:meth:`_seat_process`) and what a seat's incarnation holds
+    beyond its process (:meth:`_seat_started`, :meth:`_release`), then
+    calls :meth:`_start` once its own state is ready.
     """
 
-    def __init__(self, pool: "SupervisedWorkerPool"):
-        super().__init__(daemon=True, name="repro-supervisor-watchdog")
-        self._pool = pool
-        # Not ``_stop``: that would shadow ``Thread._stop()``, which
-        # CPython's ``threading._after_fork`` calls in forked children —
-        # respawned workers would inherit a corrupted threading state.
-        self._halt = threading.Event()
+    seat_cls = Seat
 
-    def stop(self) -> None:
-        self._halt.set()
-
-    def run(self) -> None:
-        pool = self._pool
-        cfg = pool.supervision
-        while not self._halt.wait(cfg.poll_seconds):
-            now = time.monotonic()
-            with pool._lock:
-                for slot in pool._slots:
-                    proc = slot.proc
-                    if (proc is None or slot.state == _DEAD
-                            or proc.exitcode is not None):
-                        continue
-                    beat = pool._heartbeats[slot.worker_id]
-                    if now - beat > cfg.stale_after_seconds:
-                        slot.kill_reason = (
-                            f"heartbeat silent for {now - beat:.2f}s "
-                            f"(stale_after={cfg.stale_after_seconds}s)")
-                        proc.kill()
-                    elif (slot.state in (_BUSY, _STARTING)
-                          and now > slot.deadline_at):
-                        what = ("task" if slot.state == _BUSY
-                                else "start-up")
-                        slot.kill_reason = (
-                            f"{what} exceeded the "
-                            f"{cfg.task_deadline_seconds}s deadline")
-                        proc.kill()
-
-
-class SupervisedWorkerPool:
-    """Self-healing drop-in for :class:`~repro.parallel.pool.WorkerPool`.
-
-    Same constructor contract (``processes`` seats, a picklable service
-    class, shared-memory state in ``init_args``) plus the supervision
-    knobs. ``run_tasks`` keeps the task-index result ordering — and with
-    it the bit-determinism contract of the scoring and sharding layers —
-    across crashes, hangs, respawns and the serial fallback.
-    """
-
-    def __init__(self, processes: int, service_cls, init_args: tuple = (),
-                 start_method: str | None = None,
-                 supervision: SupervisionConfig | None = None,
-                 on_event=None):
-        if processes <= 0:
-            raise ValueError("processes must be positive")
+    def __init__(self, seats: int, *, name: str, retry: RetryPolicy,
+                 max_respawns: int, stale_after: float, scan_seconds: float,
+                 on_event=None, start_method: str | None = None):
+        if seats <= 0:
+            raise ValueError("the seat count must be positive")
         if start_method is None:
             start_method = ("fork" if "fork" in mp.get_all_start_methods()
                             else "spawn")
-        # A fresh pool is the natural moment to reclaim segments a
-        # previous SIGKILLed run left behind (see repro.parallel.reaper).
+        # A fresh set is the natural moment to reclaim what a previous
+        # SIGKILLed run left behind (see repro.parallel.reaper).
         reaper.sweep_orphans()
-        self.supervision = supervision or SupervisionConfig()
         self.on_event = on_event
-        self.processes = processes
         self.events: list[WorkerEvent] = []
         self.degraded = False
         self.degrade_reason = ""
+        self.respawns_used = 0
+        self.seats = [self.seat_cls(i) for i in range(seats)]
+        self._name = name
         self._start_method = start_method
         self._ctx = mp.get_context(start_method)
-        self._service_cls = service_cls
-        self._init_args = tuple(init_args)
-        self._retry = self.supervision.retry_policy()
-        self._respawns_used = 0
+        self._retry = retry
+        self._max_respawns = max_respawns
+        self._stale_after = stale_after
+        self._scan_seconds = scan_seconds
         self._closed = False
-        self._serial_service = None
-        self._lock = threading.Lock()
-        self._heartbeats = self._ctx.Array("d", processes, lock=False)
-        self._slots = [_Slot(i) for i in range(processes)]
-        self._watchdog = _Watchdog(self)
-        #: BLAS threads of every worker and, while the pool is open, of
-        #: the parent — whose degrade path must compute like a worker
-        #: (see :mod:`repro.parallel.threads`).
-        self.blas_threads = threads.budget(processes)
-        threads.hold(self.blas_threads)
-        try:
-            for slot in self._slots:
-                self._spawn(slot)
-            self._watchdog.start()
-            self._await_ready()
-        except BaseException:
-            self.close()
-            raise
+        self._lock = threading.RLock()
+        self._heartbeats = self._ctx.Array("d", seats, lock=False)
+        self._halt = threading.Event()
+        self._watchdog = threading.Thread(target=self._watch, daemon=True,
+                                          name=f"{name}-watchdog")
+
+    def _start(self) -> None:
+        """Start every seat's first process, then the watchdog."""
+        for seat in self.seats:
+            self._spawn(seat)
+        self._watchdog.start()
+
+    # ------------------------------------------------------------------
+    # Subclass hooks
+    # ------------------------------------------------------------------
+    def _seat_process(self, seat: Seat) -> tuple:
+        """``(target, args)`` of the next process to occupy ``seat``."""
+        raise NotImplementedError
+
+    def _seat_started(self, seat: Seat) -> None:
+        """Runs right after ``seat``'s new process started."""
+
+    def _release(self, seat: Seat) -> None:
+        """Frees what ``seat``'s ended incarnation held besides its
+        process (idempotent)."""
+
+    def _retire(self, seat: Seat) -> None:
+        """Asks ``seat``'s live process to exit before :meth:`close`
+        kills it."""
+
+    def _on_close(self) -> None:
+        """Runs once, at the end of :meth:`close`."""
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _emit(self, kind: str, worker_id: int, task_index=None, attempt=0,
-              detail: str = "") -> None:
-        event = WorkerEvent(kind=kind, worker_id=worker_id,
+    def emit(self, kind: str, seat_id: int, *, task_index=None, attempt=0,
+             detail: str = "") -> None:
+        """Record one :class:`WorkerEvent` and pass it to ``on_event``."""
+        event = WorkerEvent(kind=kind, worker_id=seat_id,
                             task_index=task_index, attempt=attempt,
                             detail=detail)
         self.events.append(event)
@@ -410,27 +467,248 @@ class SupervisedWorkerPool:
             except Exception:  # noqa: BLE001 - observers must not kill runs
                 pass
 
-    def _spawn(self, slot: _Slot) -> None:
-        """Start (or restart) the process occupying ``slot``."""
-        now = time.monotonic()
+    def _spawn(self, seat: Seat) -> None:
+        """Start (or restart) the process occupying ``seat``."""
         with self._lock:
-            self._heartbeats[slot.worker_id] = now
-            slot.task_q = self._ctx.Queue()
-            slot.channel = _ResultChannel()
-            slot.proc = self._ctx.Process(
-                target=_supervised_worker_main,
-                args=(slot.worker_id, self._start_method, self._service_cls,
-                      self._init_args, slot.task_q, slot.channel,
-                      self._heartbeats, self.supervision.heartbeat_seconds,
-                      self.blas_threads),
-                daemon=True,
-                name=f"repro-supervised-worker-{slot.worker_id}")
-            slot.state = _STARTING
-            slot.task_index = None
-            slot.kill_reason = None
-            slot.deadline_at = now + self.supervision.task_deadline_seconds
-            slot.proc.start()
-            slot.channel.after_spawn()
+            seat.generation += 1
+            seat.kill_reason = seat.kill_kind = None
+            seat.disarm()
+            self._heartbeats[seat.seat_id] = time.monotonic()
+            target, args = self._seat_process(seat)
+            seat.proc = self._ctx.Process(
+                target=target, args=args, daemon=True,
+                name=f"{self._name}-{seat.seat_id}")
+            seat.proc.start()
+            self._seat_started(seat)
+
+    def kill(self, seat_id: int, reason: str, kind: str = "hang") -> None:
+        """SIGKILL one seat's process and record why.
+
+        ``kind`` (``hang``, ``stale`` or ``crash``) labels the fault
+        event emitted when the death is accounted; the first reason
+        recorded for an incarnation wins.
+        """
+        seat = self.seats[seat_id]
+        with self._lock:
+            if seat.kill_kind is None:
+                seat.kill_reason, seat.kill_kind = reason, kind
+            if seat.proc is not None and seat.proc.exitcode is None:
+                seat.proc.kill()
+
+    def _watch(self) -> None:
+        """Watchdog thread: kill frozen and hung seats.
+
+        It never respawns — it only converts the two invisible failure
+        modes (freeze, hang) into the visible one (a dead process), which
+        the owner of the seat then accounts.
+        """
+        while not self._halt.wait(self._scan_seconds):
+            now = time.monotonic()
+            with self._lock:
+                for seat in self.seats:
+                    if seat.proc is None or seat.proc.exitcode is not None:
+                        continue
+                    silent = now - self._heartbeats[seat.seat_id]
+                    if silent > self._stale_after:
+                        self.kill(seat.seat_id,
+                                  f"heartbeat silent for {silent:.2f}s "
+                                  f"(stale_after={self._stale_after}s)",
+                                  kind="stale")
+                    elif now > seat.deadline_at:
+                        self.kill(seat.seat_id, seat.deadline_note,
+                                  kind="hang")
+
+    def _reap(self, seat: Seat, note: str = "", **fields) -> tuple[str, str]:
+        """Account one dead incarnation: release it, emit its fault event.
+
+        Returns the fault ``(kind, detail)``; ``fields`` and ``note``
+        extend the event.
+        """
+        seat.proc.join(timeout=5.0)
+        kind = seat.kill_kind or "crash"
+        detail = (seat.kill_reason
+                  or f"process died with exit code {seat.proc.exitcode}")
+        with self._lock:
+            seat.disarm()
+            self._release(seat)
+        self.emit(kind, seat.seat_id, detail=detail + note, **fields)
+        return kind, detail
+
+    def _respawn(self, seat: Seat, fault: str) -> bool:
+        """Replace ``seat``'s dead process within the set-wide budget.
+
+        Sleeps the RetryPolicy backoff first. Returns False when the set
+        is closed or degraded; a spent budget degrades it.
+        """
+        with self._lock:
+            if self._closed or self.degraded:
+                return False
+            attempt = self.respawns_used
+            exhausted = attempt >= self._max_respawns
+            if not exhausted:
+                self.respawns_used += 1
+        if exhausted:
+            self.degrade(f"respawn budget exhausted "
+                         f"(max_respawns={self._max_respawns}); "
+                         f"last fault: {fault}")
+            return False
+        delay = self._retry.delay(attempt)
+        time.sleep(delay)
+        with self._lock:
+            if self._closed or self.degraded:
+                return False
+            self._spawn(seat)
+        self.emit("respawn", seat.seat_id, attempt=attempt + 1,
+                  detail=f"generation {seat.generation} after {fault} "
+                         f"(backoff {delay:.3f}s)")
+        return True
+
+    def degrade(self, reason: str) -> bool:
+        """Give up on the processes (idempotent).
+
+        The first call sets ``degraded`` and ``degrade_reason``, stops
+        the watchdog and emits the one ``degrade`` event; later calls
+        change nothing and return False.
+        """
+        with self._lock:
+            if self.degraded:
+                return False
+            self.degraded = True
+            self.degrade_reason = reason
+        self._halt.set()
+        self.emit("degrade", -1, detail=reason)
+        return True
+
+    def close(self) -> None:
+        """Stop the watchdog, end every seat's process and release what
+        it held (idempotent)."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._halt.set()
+        if self._watchdog.is_alive():
+            self._watchdog.join(timeout=5.0)
+        for seat in self.seats:
+            if seat.proc is not None:
+                self._retire(seat)
+                if seat.proc.is_alive():
+                    seat.proc.kill()
+                seat.proc.join(timeout=5.0)
+            self._release(seat)
+        self._on_close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class _Slot(Seat):
+    """A worker seat: its task queue, result channel and dispatch state."""
+
+    def __init__(self, seat_id: int):
+        super().__init__(seat_id)
+        self.task_q = None
+        self.channel: _ResultChannel | None = None
+        self.state = _DEAD
+        self.task_index: int | None = None
+
+
+class SupervisedWorkerPool(ProcessSupervisor):
+    """Self-healing pool of worker processes running one service each.
+
+    ``processes`` seats each run a picklable service class
+    (``service_cls(*init_args)``, shared-memory state as
+    :class:`~repro.parallel.shm.ShmSpec` in ``init_args``) whose
+    ``handle(task)`` is called per task. ``run_tasks`` keeps the
+    task-index result ordering — and with it the bit-determinism contract
+    of the scoring and sharding layers — across crashes, hangs, respawns
+    and the serial fallback.
+    """
+
+    seat_cls = _Slot
+
+    def __init__(self, processes: int, service_cls, init_args: tuple = (),
+                 start_method: str | None = None,
+                 supervision: SupervisionConfig | None = None,
+                 on_event=None):
+        self.supervision = supervision or SupervisionConfig()
+        cfg = self.supervision
+        super().__init__(processes, retry=cfg.retry_policy(),
+                         max_respawns=cfg.max_respawns,
+                         stale_after=cfg.stale_after_seconds,
+                         scan_seconds=cfg.poll_seconds, on_event=on_event,
+                         start_method=start_method,
+                         name="repro-supervised-worker")
+        self.processes = processes
+        self._service_cls = service_cls
+        self._init_args = tuple(init_args)
+        self._serial_service = None
+        #: BLAS threads of every worker and, while the pool is open, of
+        #: the parent — whose degrade path must compute like a worker
+        #: (see :mod:`repro.parallel.threads`).
+        self.blas_threads = threads.budget(processes)
+        threads.hold(self.blas_threads)
+        try:
+            self._start()
+            self._await_ready()
+        except BaseException:
+            self.close()
+            raise
+
+    # ------------------------------------------------------------------
+    # Seats
+    # ------------------------------------------------------------------
+    def _seat_process(self, slot: _Slot) -> tuple:
+        slot.task_q = self._ctx.Queue()
+        slot.channel = _ResultChannel()
+        slot.state = _STARTING
+        slot.task_index = None
+        slot.arm(self.supervision.task_deadline_seconds, "start-up")
+        return _supervised_worker_main, (
+            slot.seat_id, self._start_method, self._service_cls,
+            self._init_args, slot.task_q, slot.channel, self._heartbeats,
+            self.supervision.heartbeat_seconds, self.blas_threads)
+
+    def _seat_started(self, slot: _Slot) -> None:
+        slot.channel.after_spawn()
+
+    def _release(self, slot: _Slot) -> None:
+        slot.state = _DEAD
+        slot.task_index = None
+        if slot.task_q is not None:
+            # The dead worker's queue may still hold its task; a fresh
+            # queue per respawn keeps stale dispatches from reaching the
+            # replacement. (A double *delivery* of an already-finished
+            # task would be harmless — results are slotted by index — but
+            # why pay for the re-run.)
+            slot.task_q.close()
+            slot.task_q.cancel_join_thread()
+            slot.task_q = None
+        if slot.channel is not None:
+            # Discard the result channel with the process: anything it
+            # still holds is at best a duplicate of a retried
+            # (idempotent) task, at worst a truncated frame.
+            slot.channel.close()
+            slot.channel = None
+
+    def _retire(self, slot: _Slot) -> None:
+        if slot.state != _DEAD and slot.proc.exitcode is None:
+            try:
+                slot.task_q.put(None)
+            except (ValueError, OSError):  # pragma: no cover
+                pass
+            slot.proc.join(timeout=1.0)
+
+    def _on_close(self) -> None:
+        threads.release(self.blas_threads)
+        if self._serial_service is not None:
+            close = getattr(self._serial_service, "close", None)
+            if callable(close):
+                close()
+            self._serial_service = None
 
     def _collect_messages(self, timeout: float | None = None) -> list:
         """Wait up to ``timeout`` (default ``poll_seconds``), then drain
@@ -441,7 +719,7 @@ class SupervisedWorkerPool:
         """
         if timeout is None:
             timeout = self.supervision.poll_seconds
-        fds = [s.channel.r for s in self._slots
+        fds = [s.channel.r for s in self.seats
                if s.state != _DEAD and s.channel is not None
                and s.channel.r != -1]
         if fds:
@@ -449,7 +727,7 @@ class SupervisedWorkerPool:
         elif timeout:
             time.sleep(timeout)
         messages = []
-        for slot in self._slots:
+        for slot in self.seats:
             if (slot.state == _DEAD or slot.channel is None
                     or slot.channel.r == -1):
                 continue
@@ -464,14 +742,14 @@ class SupervisedWorkerPool:
         configuration bug (the service cannot construct anywhere), so it
         raises instead of degrading.
         """
-        while any(s.state == _STARTING for s in self._slots):
+        while any(s.state == _STARTING for s in self.seats):
             messages = self._collect_messages()
             if not messages:
-                for slot in self._slots:
+                for slot in self.seats:
                     if (slot.state == _STARTING
                             and slot.proc.exitcode is not None):
                         raise ParallelExecutionError(
-                            f"worker {slot.worker_id} died during start-up "
+                            f"worker {slot.seat_id} died during start-up "
                             f"(exit code {slot.proc.exitcode}"
                             + (f"; {slot.kill_reason}" if slot.kill_reason
                                else "") + ")")
@@ -483,7 +761,7 @@ class SupervisedWorkerPool:
                 if kind == _READY:
                     with self._lock:
                         slot.state = _IDLE
-                        slot.deadline_at = float("inf")
+                        slot.disarm()
 
     # ------------------------------------------------------------------
     # Serial fallback
@@ -493,93 +771,19 @@ class SupervisedWorkerPool:
             self._serial_service = self._service_cls(*self._init_args)
         return self._serial_service.handle(task)
 
-    def _degrade(self, reason: str) -> None:
-        """Give up on the pool; later work runs serially in the parent."""
-        self.degraded = True
-        self.degrade_reason = reason
-        self._emit("degrade", worker_id=-1, detail=reason)
-        self._watchdog.stop()
+    def degrade(self, reason: str) -> bool:
+        """Give up on the workers; later work runs serially in the parent."""
+        if not super().degrade(reason):
+            return False
         with self._lock:
-            for slot in self._slots:
+            for slot in self.seats:
                 if slot.proc is not None and slot.proc.exitcode is None:
                     slot.proc.kill()
-                slot.state = _DEAD
-                if slot.channel is not None:
-                    slot.channel.close()
-                    slot.channel = None
+                self._release(slot)
+        return True
 
     # ------------------------------------------------------------------
-    # Fault accounting
-    # ------------------------------------------------------------------
-    def _classify_death(self, slot: _Slot) -> str:
-        reason = slot.kill_reason or ""
-        if "deadline" in reason:
-            return "hang"
-        if "heartbeat" in reason:
-            return "stale"
-        return "crash"
-
-    def _handle_death(self, slot: _Slot, pending: collections.deque,
-                      attempts: dict, need_more_work: bool) -> str | None:
-        """Account a dead worker; respawn or return a degrade reason."""
-        kind = self._classify_death(slot)
-        exitcode = slot.proc.exitcode
-        index = slot.task_index
-        detail = (slot.kill_reason
-                  or f"process died with exit code {exitcode}")
-        with self._lock:
-            slot.state = _DEAD
-            slot.task_index = None
-            slot.deadline_at = float("inf")
-            if slot.task_q is not None:
-                # The dead worker's queue may still hold its task; a
-                # fresh queue per respawn keeps stale dispatches from
-                # reaching the replacement. (A double *delivery* of an
-                # already-finished task would be harmless — results are
-                # slotted by index — but why pay for the re-run.)
-                slot.task_q.close()
-                slot.task_q.cancel_join_thread()
-                slot.task_q = None
-            if slot.channel is not None:
-                # Discard the result channel with the process: anything
-                # it still holds is at best a duplicate of a retried
-                # (idempotent) task, at worst a truncated frame.
-                slot.channel.close()
-                slot.channel = None
-        self._emit(kind, slot.worker_id, task_index=index,
-                   attempt=attempts.get(index, 0) if index is not None else 0,
-                   detail=detail)
-
-        if index is not None:
-            attempts[index] = attempts.get(index, 0) + 1
-            if attempts[index] > self.supervision.max_task_retries:
-                return (f"task {index} failed {attempts[index]} times "
-                        f"(max_task_retries="
-                        f"{self.supervision.max_task_retries}); "
-                        f"last fault: {detail}")
-            pending.appendleft(index)
-            self._emit("retry", slot.worker_id, task_index=index,
-                       attempt=attempts[index],
-                       detail=f"re-dispatching after {kind}")
-            need_more_work = True
-
-        if not need_more_work and not pending:
-            return None              # nothing left for this seat to do
-        if self._respawns_used >= self.supervision.max_respawns:
-            return (f"respawn budget exhausted "
-                    f"(max_respawns={self.supervision.max_respawns}); "
-                    f"last fault: worker {slot.worker_id} {kind} ({detail})")
-        delay = self._retry.delay(self._respawns_used)
-        self._respawns_used += 1
-        time.sleep(delay)
-        self._spawn(slot)
-        self._emit("respawn", slot.worker_id,
-                   attempt=self._respawns_used,
-                   detail=f"respawned after {kind} (backoff {delay:.3f}s)")
-        return None
-
-    # ------------------------------------------------------------------
-    # Dispatch loop
+    # Dispatch
     # ------------------------------------------------------------------
     def run_tasks(self, tasks: list) -> list:
         """Execute ``tasks``; results in task order, faults self-healed.
@@ -589,100 +793,19 @@ class SupervisedWorkerPool:
         way for honest services, and the remote traceback matters more),
         and :class:`ParallelExecutionError` only for unusable-pool states.
         Worker deaths and hangs never raise: they respawn, retry, and
-        ultimately degrade to serial execution.
+        ultimately degrade to serial execution, which finishes every task
+        the workers did not.
         """
         if self._closed:
             raise ParallelExecutionError("pool is closed")
-        results: list = [None] * len(tasks)
-        if self.degraded:
-            for index, task in enumerate(tasks):
-                results[index] = self._serial_handle(task)
-            return results
+        pipeline = TaskPipeline(self, tasks)
+        while not (pipeline.finished or self.degraded):
+            pipeline.pump(wait=self.supervision.poll_seconds)
+        for index, task in enumerate(pipeline.tasks):
+            if not pipeline.done[index]:
+                pipeline.results[index] = self._serial_handle(task)
+        return pipeline.results
 
-        pending = collections.deque(range(len(tasks)))
-        done = [False] * len(tasks)
-        remaining = len(tasks)
-        attempts: dict[int, int] = {}
-
-        while remaining:
-            # Fill every idle seat (deterministic order: seat id).
-            with self._lock:
-                for slot in self._slots:
-                    if slot.state == _IDLE and pending:
-                        index = pending.popleft()
-                        slot.state = _BUSY
-                        slot.task_index = index
-                        slot.deadline_at = (
-                            time.monotonic()
-                            + self.supervision.task_deadline_seconds)
-                        slot.task_q.put((index, tasks[index]))
-
-            messages = self._collect_messages()
-            if not messages:
-                degrade_reason = None
-                for slot in self._slots:
-                    if (slot.state in (_BUSY, _IDLE, _STARTING)
-                            and slot.proc.exitcode is not None):
-                        degrade_reason = self._handle_death(
-                            slot, pending, attempts,
-                            need_more_work=remaining > 0)
-                        if degrade_reason:
-                            break
-                if degrade_reason is None and remaining and not any(
-                        s.state != _DEAD for s in self._slots):
-                    degrade_reason = "no live workers remain"
-                if degrade_reason:
-                    self._degrade(degrade_reason)
-                    for index in range(len(tasks)):
-                        if not done[index]:
-                            results[index] = self._serial_handle(tasks[index])
-                            done[index] = True
-                            remaining -= 1
-                continue
-
-            for slot, (kind, index, payload) in messages:
-                if self.degraded:
-                    break            # a degrade mid-batch finished the run
-                if kind == _OK:
-                    with self._lock:
-                        if slot.task_index == index:
-                            slot.state = _IDLE
-                            slot.task_index = None
-                            slot.deadline_at = float("inf")
-                    if not done[index]:   # late duplicates are harmless
-                        results[index] = payload
-                        done[index] = True
-                        remaining -= 1
-                elif kind == _ERR:
-                    self.close()
-                    raise TaskFailedError(
-                        f"task {index} raised in worker:\n{payload}")
-                elif kind == _READY:
-                    with self._lock:
-                        if slot.state == _STARTING:
-                            slot.state = _IDLE
-                            slot.deadline_at = float("inf")
-                elif kind == _INIT_ERR:
-                    # A respawned worker failed to construct the service;
-                    # treat like a death of that seat (budgeted).
-                    if slot.proc.exitcode is None:
-                        slot.proc.kill()
-                        slot.proc.join(timeout=1.0)
-                    degrade_reason = self._handle_death(
-                        slot, pending, attempts, need_more_work=remaining > 0)
-                    if degrade_reason:
-                        self._degrade(degrade_reason)
-                        for index in range(len(tasks)):
-                            if not done[index]:
-                                results[index] = self._serial_handle(
-                                    tasks[index])
-                                done[index] = True
-                                remaining -= 1
-        return results
-
-    # ------------------------------------------------------------------
-    # Standing pipeline
-    # ------------------------------------------------------------------
     def start_pipeline(self, tasks: list) -> "TaskPipeline":
         """Dispatch one *standing* task per seat and return the pipeline.
 
@@ -713,70 +836,33 @@ class SupervisedWorkerPool:
                 f"{len(tasks)} tasks for {self.processes} seats")
         return TaskPipeline(self, tasks)
 
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the watchdog, kill the workers, release queues/channels."""
-        if self._closed:
-            return
-        self._closed = True
-        threads.release(self.blas_threads)
-        self._watchdog.stop()
-        for slot in self._slots:
-            if slot.proc is None:
-                continue
-            if slot.state != _DEAD and slot.proc.exitcode is None:
-                try:
-                    slot.task_q.put(None)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-            slot.proc.join(timeout=1.0)
-            if slot.proc.is_alive():
-                slot.proc.kill()
-                slot.proc.join(timeout=1.0)
-            if slot.task_q is not None:
-                slot.task_q.close()
-                slot.task_q.cancel_join_thread()
-            if slot.channel is not None:
-                slot.channel.close()
-                slot.channel = None
-        if self._serial_service is not None:
-            close = getattr(self._serial_service, "close", None)
-            if callable(close):
-                close()
-            self._serial_service = None
-
-    def __enter__(self) -> "SupervisedWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class TaskPipeline:
-    """Parent-side handle of a set of standing tasks (one per seat).
+    """Parent-side dispatch of a list of tasks over a pool's seats.
 
-    Created by :meth:`SupervisedWorkerPool.start_pipeline`. The caller
-    owns the pacing: it calls :meth:`pump` (non-blocking by default)
-    from its shared-memory wait loops so deaths are noticed while it
-    waits on data, :meth:`bump_deadlines` once per observed step, and
-    :meth:`finish` after it has signalled its own stop condition through
-    whatever channel the standing tasks watch.
+    :meth:`SupervisedWorkerPool.run_tasks` pumps one until it finishes;
+    :meth:`SupervisedWorkerPool.start_pipeline` hands one of *standing*
+    tasks (one per seat) to a caller that owns the pacing: it calls
+    :meth:`pump` (non-blocking by default) from its shared-memory wait
+    loops so deaths are noticed while it waits on data,
+    :meth:`bump_deadlines` once per observed step, and :meth:`finish`
+    after it has signalled its own stop condition through whatever
+    channel the standing tasks watch.
 
-    Fault handling mirrors :meth:`SupervisedWorkerPool.run_tasks`: a
-    SIGKILLed/hung/frozen worker is respawned (respawn budget) and its
-    standing task re-dispatched (retry budget). Standing tasks must be
-    idempotent *mid-flight*: a replacement re-enters the same task and
-    re-derives where the computation stands from shared state — which
-    the sharded trainer's seqlock protocol guarantees (a recomputed step
-    republishes bit-identical bytes). Exhausted budgets degrade the pool
-    and leave completion to the caller's serial path.
+    A SIGKILLed/hung/frozen worker is respawned (respawn budget) and its
+    task re-dispatched (retry budget). Standing tasks must be idempotent
+    *mid-flight*: a replacement re-enters the same task and re-derives
+    where the computation stands from shared state — which the sharded
+    trainer's seqlock protocol guarantees (a recomputed step republishes
+    bit-identical bytes). Exhausted budgets degrade the pool and leave
+    completion to the caller's serial path.
     """
 
     def __init__(self, pool: SupervisedWorkerPool, tasks: list):
         self._pool = pool
         self.tasks = list(tasks)
         self.results: list = [None] * len(self.tasks)
-        self._done = [False] * len(self.tasks)
+        self.done = [False] * len(self.tasks)
         self._remaining = len(self.tasks)
         self._pending = collections.deque(range(len(self.tasks)))
         self._attempts: dict[int, int] = {}
@@ -793,16 +879,16 @@ class TaskPipeline:
 
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
+        """Hand pending tasks to idle seats (deterministic order: seat
+        id)."""
         pool = self._pool
         with pool._lock:
-            for slot in pool._slots:
+            for slot in pool.seats:
                 if slot.state == _IDLE and self._pending:
                     index = self._pending.popleft()
                     slot.state = _BUSY
                     slot.task_index = index
-                    slot.deadline_at = (
-                        time.monotonic()
-                        + pool.supervision.task_deadline_seconds)
+                    slot.arm(pool.supervision.task_deadline_seconds, "task")
                     slot.task_q.put((index, self.tasks[index]))
 
     def bump_deadlines(self) -> None:
@@ -813,98 +899,87 @@ class TaskPipeline:
         rather than its whole (epoch-long) lifetime.
         """
         pool = self._pool
-        deadline = (time.monotonic()
-                    + pool.supervision.task_deadline_seconds)
         with pool._lock:
-            for slot in pool._slots:
+            for slot in pool.seats:
                 if slot.state == _BUSY:
-                    slot.deadline_at = deadline
+                    slot.arm(pool.supervision.task_deadline_seconds, "task")
 
-    def _on_death(self, slot: _Slot) -> str | None:
-        pool = self._pool
-        if not self._stopping:
-            return pool._handle_death(slot, self._pending, self._attempts,
-                                      need_more_work=self._remaining > 0)
-        # During shutdown a standing task's purpose (the steps) is
-        # already served; its final summary is advisory. Account the
-        # death, but spend no respawn on it.
-        kind = pool._classify_death(slot)
-        index = slot.task_index
-        detail = (slot.kill_reason
-                  or f"process died with exit code {slot.proc.exitcode}")
-        with pool._lock:
-            slot.state = _DEAD
-            slot.task_index = None
-            slot.deadline_at = float("inf")
-            if slot.task_q is not None:
-                slot.task_q.close()
-                slot.task_q.cancel_join_thread()
-                slot.task_q = None
-            if slot.channel is not None:
-                slot.channel.close()
-                slot.channel = None
-        pool._emit(kind, slot.worker_id, task_index=index,
-                   detail=detail + " (during pipeline stop; not retried)")
-        if index is not None and not self._done[index]:
-            self._done[index] = True
+    def _complete(self, index: int, result=None) -> None:
+        if not self.done[index]:     # late duplicates are harmless
+            self.results[index] = result
+            self.done[index] = True
             self._remaining -= 1
-        return None
+
+    def _on_death(self, slot: _Slot) -> None:
+        """Account a dead worker: re-queue its task, respawn or degrade."""
+        pool = self._pool
+        index = slot.task_index
+        attempt = self._attempts.get(index, 0) if index is not None else 0
+        if self._stopping:
+            # During shutdown a standing task's purpose (the steps) is
+            # already served; its final summary is advisory. Account the
+            # death, but spend no respawn on it.
+            pool._reap(slot, note=" (during pipeline stop; not retried)",
+                       task_index=index, attempt=attempt)
+            if index is not None:
+                self._complete(index)
+            return
+        kind, detail = pool._reap(slot, task_index=index, attempt=attempt)
+        if index is not None:
+            self._attempts[index] = attempt + 1
+            if attempt + 1 > pool.supervision.max_task_retries:
+                pool.degrade(f"task {index} failed {attempt + 1} times "
+                             f"(max_task_retries="
+                             f"{pool.supervision.max_task_retries}); "
+                             f"last fault: {detail}")
+                return
+            self._pending.appendleft(index)
+            pool.emit("retry", slot.seat_id, task_index=index,
+                      attempt=attempt + 1,
+                      detail=f"re-dispatching after {kind}")
+        if self._remaining:
+            pool._respawn(slot, f"worker {slot.seat_id} {kind} ({detail})")
 
     def pump(self, wait: float = 0.0) -> None:
         """Process supervisor traffic; never blocks longer than ``wait``.
 
-        Raises :class:`TaskFailedError` if a standing task raised in its
-        worker (deterministic bug; the remote traceback matters more
-        than recovery). Worker deaths respawn/re-dispatch; exhausted
-        budgets degrade the pool — check :attr:`degraded` after pumping.
+        Raises :class:`TaskFailedError` if a task raised in its worker
+        (deterministic bug; the remote traceback matters more than
+        recovery). Worker deaths respawn/re-dispatch; exhausted budgets
+        degrade the pool — check :attr:`degraded` after pumping.
         """
         pool = self._pool
         if pool.degraded or pool._closed or self._remaining == 0:
             return
-        messages = pool._collect_messages(timeout=wait)
-        degrade_reason = None
-        for slot, (kind, index, payload) in messages:
-            if pool.degraded:
-                return
+        for slot, (kind, index, payload) in pool._collect_messages(wait):
             if kind == _OK:
                 with pool._lock:
                     if slot.task_index == index:
                         slot.state = _IDLE
                         slot.task_index = None
-                        slot.deadline_at = float("inf")
-                if not self._done[index]:
-                    self.results[index] = payload
-                    self._done[index] = True
-                    self._remaining -= 1
+                        slot.disarm()
+                self._complete(index, payload)
             elif kind == _ERR:
                 pool.close()
                 raise TaskFailedError(
-                    f"pipeline task {index} raised in worker:\n{payload}")
+                    f"task {index} raised in worker:\n{payload}")
             elif kind == _READY:
                 with pool._lock:
                     if slot.state == _STARTING:
                         slot.state = _IDLE
-                        slot.deadline_at = float("inf")
+                        slot.disarm()
             elif kind == _INIT_ERR:
-                if slot.proc.exitcode is None:
-                    slot.proc.kill()
-                    slot.proc.join(timeout=1.0)
-                degrade_reason = self._on_death(slot)
-                if degrade_reason:
-                    break
-        if degrade_reason is None:
-            for slot in pool._slots:
-                if (slot.state in (_BUSY, _IDLE, _STARTING)
-                        and slot.proc is not None
-                        and slot.proc.exitcode is not None):
-                    degrade_reason = self._on_death(slot)
-                    if degrade_reason:
-                        break
-        if degrade_reason is None and self._remaining and not any(
-                s.state != _DEAD for s in pool._slots):
-            degrade_reason = "no live workers remain"
-        if degrade_reason:
-            pool._degrade(degrade_reason)
+                # A respawned worker failed to construct the service;
+                # its death is accounted like any other (budgeted).
+                pool.kill(slot.seat_id, "service failed to initialise",
+                          kind="crash")
+        for slot in pool.seats:
+            if slot.state != _DEAD and slot.proc.exitcode is not None:
+                self._on_death(slot)
+                if pool.degraded:
+                    return
+        if self._remaining and all(s.state == _DEAD for s in pool.seats):
+            pool.degrade("no live workers remain")
             return
         self._dispatch()
 

@@ -198,32 +198,51 @@ def _drill_loader_retry(seed: int) -> DrillResult:
     return result
 
 
+def _fast_supervision(**overrides):
+    """Drill-speed supervision knobs.
+
+    The task deadline sits below the default 120s: on an oversubscribed
+    CI host a respawned worker can miss its start-up deadline, and a
+    drill must not stall a full default deadline before supervision
+    recovers.
+    """
+    from ..parallel import SupervisionConfig
+    knobs = dict(poll_seconds=0.02, heartbeat_seconds=0.05,
+                 respawn_delay=0.01, respawn_jitter=0.0,
+                 task_deadline_seconds=30.0)
+    knobs.update(overrides)
+    return SupervisionConfig(**knobs)
+
+
 def _drill_worker_crash(seed: int) -> DrillResult:
     result = DrillResult("worker.crash")
-    from ..parallel import (CRASH_TASK, EchoService, ParallelExecutionError,
-                            WorkerPool)
-    pool = WorkerPool(2, EchoService, ("drill",))
-    try:
-        try:
-            pool.run_tasks(["before", CRASH_TASK, "after"])
-        except ParallelExecutionError:
-            pass
-        else:
-            result.fail("killed worker did not raise ParallelExecutionError")
-    finally:
-        pool.close()
-    with WorkerPool(2, EchoService, ("drill",)) as fresh:
+    from ..parallel import CRASH_TASK, EchoService, SupervisedWorkerPool
+
+    # Zero budgets: the first crash degrades the pool, which finishes the
+    # batch serially instead of respawning or retrying.
+    supervision = _fast_supervision(max_respawns=0, max_task_retries=0)
+    tasks = ["before", CRASH_TASK, "after"]
+    with SupervisedWorkerPool(2, EchoService, ("drill",),
+                              supervision=supervision) as pool:
+        out = pool.run_tasks(tasks)
+        kinds = [e.kind for e in pool.events]
+    if kinds != ["crash", "degrade"]:
+        result.fail(f"crash at zero budgets gave events {kinds}, "
+                    "not crash then degrade")
+    if out != [("drill", t) for t in tasks]:
+        result.fail(f"degraded run returned {out!r}")
+    with SupervisedWorkerPool(2, EchoService, ("drill",),
+                              supervision=supervision) as fresh:
         echoed = fresh.run_tasks(["x", "y"])
-        if echoed != [("drill", "x"), ("drill", "y")]:
+        if echoed != [("drill", "x"), ("drill", "y")] or fresh.degraded:
             result.fail(f"fresh pool after the crash returned {echoed!r}")
-    result.detail = "crash detected, fresh pool unaffected"
+    result.detail = "crash detected, degraded in order, fresh pool unaffected"
     return result
 
 
 def _drill_worker_respawn(seed: int) -> DrillResult:
     result = DrillResult("worker.respawn")
     from ..core.importance import ImportanceEvaluator
-    from ..parallel import SupervisionConfig
     from ..parallel.scoring import ScoringService
     from .chaos import worker_fault
 
@@ -235,12 +254,7 @@ def _drill_worker_respawn(seed: int) -> DrillResult:
     with ImportanceEvaluator(model, train, 3, cfg, workers=2) as evaluator:
         clean = evaluator.evaluate(groups)
 
-    # task_deadline below the default 120s: on an oversubscribed CI host a
-    # respawned worker can miss its start-up deadline, and the drill must
-    # not stall a full default deadline before supervision recovers.
-    supervision = SupervisionConfig(poll_seconds=0.02, heartbeat_seconds=0.05,
-                                    respawn_delay=0.01, respawn_jitter=0.0,
-                                    task_deadline_seconds=30.0)
+    supervision = _fast_supervision()
     events = []
     with worker_fault(ScoringService, mode="kill", at_call=0) as marker:
         with ImportanceEvaluator(model, train, 3, cfg, workers=2,
@@ -269,16 +283,13 @@ def _drill_worker_respawn(seed: int) -> DrillResult:
 
 def _drill_worker_hang(seed: int) -> DrillResult:
     result = DrillResult("worker.hang")
-    from ..parallel import EchoService, SupervisedWorkerPool, SupervisionConfig
+    from ..parallel import EchoService, SupervisedWorkerPool
     from .chaos import worker_fault
 
     for mode, knob in (("hang", dict(task_deadline_seconds=1.0)),
                        ("freeze", dict(stale_after_seconds=0.6,
                                        task_deadline_seconds=30.0))):
-        supervision = SupervisionConfig(poll_seconds=0.02,
-                                        heartbeat_seconds=0.05,
-                                        respawn_delay=0.01,
-                                        respawn_jitter=0.0, **knob)
+        supervision = _fast_supervision(**knob)
         with worker_fault(EchoService, mode=mode) as marker:
             with SupervisedWorkerPool(2, EchoService, ("drill",),
                                       supervision=supervision) as pool:
@@ -299,12 +310,8 @@ def _drill_worker_hang(seed: int) -> DrillResult:
 
 def _drill_worker_degrade(seed: int) -> DrillResult:
     result = DrillResult("worker.degrade")
-    from ..parallel import (CRASH_TASK, EchoService, SupervisedWorkerPool,
-                            SupervisionConfig)
-    supervision = SupervisionConfig(poll_seconds=0.02, heartbeat_seconds=0.05,
-                                    respawn_delay=0.01, respawn_jitter=0.0,
-                                    max_respawns=2, max_task_retries=1,
-                                    task_deadline_seconds=30.0)
+    from ..parallel import CRASH_TASK, EchoService, SupervisedWorkerPool
+    supervision = _fast_supervision(max_respawns=2, max_task_retries=1)
     with SupervisedWorkerPool(2, EchoService, ("drill",),
                               supervision=supervision) as pool:
         out = pool.run_tasks(["a", CRASH_TASK, "b", "c"])
@@ -324,7 +331,6 @@ def _drill_worker_degrade(seed: int) -> DrillResult:
 
 def _drill_worker_bucket(seed: int) -> DrillResult:
     result = DrillResult("worker.bucket")
-    from ..parallel import SupervisionConfig
     from ..parallel.shard import TrainingService
     from .chaos import worker_fault
 
@@ -339,9 +345,7 @@ def _drill_worker_bucket(seed: int) -> DrillResult:
     finally:
         trainer.close()
 
-    supervision = SupervisionConfig(poll_seconds=0.02, heartbeat_seconds=0.05,
-                                    respawn_delay=0.01, respawn_jitter=0.0,
-                                    task_deadline_seconds=30.0)
+    supervision = _fast_supervision()
     events = []
     faulted = _tiny_model(seed)
     # The kill lands inside backward, after the second bucket of the step

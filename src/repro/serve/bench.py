@@ -19,14 +19,15 @@ contract: finite p99, zero errors, zero dropped requests.
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from ..bench import format_host, host_record, write_bench
 from ..models import build_model
 from ..verify.invariants import perturb_batchnorm_stats
+from .client import ServeClient
 from .loadgen import run_load
 from .registry import ModelRegistry
 from .server import ServeConfig, ServerThread
@@ -75,7 +76,8 @@ def run_bench(smoke: bool = False, seed: int = 0,
     router (dense/pruned from checkpoints, int8 from its compiled plan
     artifact), and the sweep measures the fleet. Every entry carries a
     ``replicas`` column so the two topologies stay distinguishable in
-    ``BENCH_serve.json``.
+    ``BENCH_serve.json``, and the host record's ``blas_threads`` lists
+    each replica's count as its ``stats`` op reports it.
     """
     unknown = [v for v in variants if v not in _VARIANTS]
     if unknown:
@@ -134,6 +136,7 @@ def run_bench(smoke: bool = False, seed: int = 0,
             rset = ReplicaSet(ReplicaConfig(replicas=int(replicas),
                                             max_batch=max_batch))
             router = ReplicaRouter(rset, specs)
+        blas_threads = {}
         try:
             with ServerThread(registry, ServeConfig(), router=router) as srv:
                 for variant in variants:
@@ -151,6 +154,13 @@ def run_bench(smoke: bool = False, seed: int = 0,
                         entries.append(entry)
                         if smoke:
                             _assert_smoke_contract(entry)
+                if replicas:
+                    # Each replica's count, as its stats op reports it.
+                    with ServeClient(srv.host, srv.port) as client:
+                        fleet = client.stats()["replicas"]["per_replica"]
+                    blas_threads["replicas"] = [
+                        fleet[str(i)].get("blas_threads")
+                        for i in range(int(replicas))]
         finally:
             if rset is not None:
                 rset.close()            # idempotent; server closes it too
@@ -167,7 +177,7 @@ def run_bench(smoke: bool = False, seed: int = 0,
         "requests_per_connection": int(requests_per_connection),
         "connection_sweep": [int(c) for c in connections],
         "variants": list(variants),
-        "numpy": np.__version__,
+        **host_record(**blas_threads),
         "entries": entries,
     }
 
@@ -183,17 +193,11 @@ def _assert_smoke_contract(entry: dict) -> None:
         raise AssertionError(f"serve bench p99 not finite/positive: {entry}")
 
 
-def write_bench(results: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh, indent=2)
-        fh.write("\n")
-
-
 def format_table(results: dict) -> str:
     header = (f"{'model':<14} {'variant':<7} {'repl':>4} {'conns':>5} "
               f"{'rps':>8} {'p50 ms':>8} {'p99 ms':>8} "
               f"{'rejected':>8} {'dropped':>7}")
-    lines = [header, "-" * len(header)]
+    lines = [format_host(results), header, "-" * len(header)]
     for e in results["entries"]:
         p50 = f"{e['p50_ms']:.2f}" if e["p50_ms"] is not None else "-"
         p99 = f"{e['p99_ms']:.2f}" if e["p99_ms"] is not None else "-"

@@ -8,15 +8,20 @@ dials those sockets and spreads traffic across them, so a crash, hang,
 or GIL-bound compute spike in one replica costs 1/N capacity instead of
 the whole service.
 
-Supervision reuses the PR 5 machinery
-(:mod:`repro.parallel.supervisor`): each replica stamps a heartbeat slot
-in a shared ``mp.Array``; a parent-side watchdog SIGKILLs any replica
-whose heartbeat goes stale, funnelling *every* fault — crash, freeze,
-kill -9 — into one detection path (process death, seen by the router as
-EOF on the replica socket). Respawns are bounded by a deterministic
-:class:`~repro.resilience.retry.RetryPolicy` budget shared across the
-set; once it is spent the router degrades to the in-process single-runner
-path with ``stop_reason="replicas-degraded"`` instead of flapping.
+Replica seats run on the same supervision core as the worker pool's
+seats (:class:`~repro.parallel.supervisor.ProcessSupervisor`): each
+replica stamps a heartbeat slot in the shared array; the one watchdog
+SIGKILLs any replica whose heartbeat goes stale, funnelling *every*
+fault — crash, freeze, kill -9 — into one detection path (process death,
+seen by the router as EOF on the replica socket). :meth:`ReplicaSet.respawn`
+accounts the death (one fault event) and respawns within the set-wide
+:class:`~repro.resilience.retry.RetryPolicy` budget; once it is spent the
+set degrades (one ``degrade`` event) and the router falls back to the
+in-process single-runner path with ``stop_reason="replicas-degraded"``
+instead of flapping. Unlike the pool, the set takes no parent BLAS
+hold: on a 2-CPU host the compiled engine gave bitwise-equal outputs at
+1 and 2 BLAS threads (vgg11 with 7/8 of its filters kept, batch 1 and
+8), so the local fallback has no shown need for one.
 
 Replica-owned filesystem artifacts (the socket directory, each
 incarnation's socket and pid file) are ledgered with
@@ -47,7 +52,6 @@ public server):
 from __future__ import annotations
 
 import json
-import multiprocessing as mp
 import os
 import socket
 import tempfile
@@ -59,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from ..parallel import reaper, threads
-from ..parallel.supervisor import WorkerEvent
+from ..parallel.supervisor import ProcessSupervisor, Seat, heartbeat
 from ..resilience.retry import RetryPolicy
 
 __all__ = ["ReplicaSpec", "ReplicaConfig", "ReplicaSet"]
@@ -342,14 +346,7 @@ def _replica_main(replica_id: int, socket_path: str, heartbeats,
     """Process entry point: heartbeat thread + threaded socket service."""
     threads.set_blas_threads(threads.budget(config.replicas))
     service = _ReplicaService(replica_id, config)
-
-    def beat() -> None:
-        while not service._stop.is_set():
-            heartbeats[replica_id] = time.monotonic()
-            service._stop.wait(config.heartbeat_s)
-
-    threading.Thread(target=beat, daemon=True,
-                     name=f"repro-replica-{replica_id}-heartbeat").start()
+    heartbeat(heartbeats, replica_id, config.heartbeat_s, service._stop)
     service.serve(socket_path)
 
 
@@ -358,46 +355,41 @@ def _replica_main(replica_id: int, socket_path: str, heartbeats,
 # ---------------------------------------------------------------------------
 
 
-class ReplicaHandle:
+class ReplicaHandle(Seat):
     """Parent-side view of one replica seat (survives respawns)."""
 
     def __init__(self, replica_id: int):
-        self.replica_id = replica_id
-        self.generation = 0
-        self.proc: mp.process.BaseProcess | None = None
+        super().__init__(replica_id)
         self.socket_path: Path | None = None
         self.pid_path: Path | None = None
-        self.kill_reason: str | None = None
-        self.restarts = 0
 
     @property
-    def alive(self) -> bool:
-        return self.proc is not None and self.proc.is_alive()
+    def replica_id(self) -> int:
+        return self.seat_id
 
 
-class ReplicaSet:
+class ReplicaSet(ProcessSupervisor):
     """Spawns, watches, SIGKILLs, and respawns the replica processes.
 
     Pure process lifecycle — routing and request state live in
-    :class:`~repro.serve.router.ReplicaRouter`. The heartbeat watchdog
-    funnels freezes into process death (SIGKILL), which the router
-    observes as EOF on the replica socket; :meth:`respawn` enforces the
-    set-wide bounded respawn budget with deterministic
-    :class:`~repro.resilience.retry.RetryPolicy` backoff.
+    :class:`~repro.serve.router.ReplicaRouter`. Heartbeats, the watchdog,
+    :meth:`kill`, the set-wide respawn budget and :meth:`degrade` are the
+    shared :class:`~repro.parallel.supervisor.ProcessSupervisor` core;
+    this class adds the socket directory and each generation's socket
+    and pid file.
     """
+
+    seat_cls = ReplicaHandle
 
     def __init__(self, config: ReplicaConfig | None = None, *,
                  on_event=None):
         self.config = config or ReplicaConfig()
-        if self.config.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.on_event = on_event
-        self.events: list[WorkerEvent] = []
-        self.respawns_used = 0
-        self._retry = self.config.retry_policy()
-        self._lock = threading.Lock()
-        self._closing = False
-        reaper.sweep_orphans()          # reclaim a previous run's leavings
+        super().__init__(self.config.replicas,
+                         retry=self.config.retry_policy(),
+                         max_respawns=self.config.max_respawns,
+                         stale_after=self.config.stale_after_s,
+                         scan_seconds=self.config.heartbeat_s,
+                         on_event=on_event, name="repro-replica")
         if self.config.socket_dir is None:
             self._dir = Path(tempfile.mkdtemp(prefix="repro-replicas-"))
             self._own_dir = True
@@ -406,54 +398,27 @@ class ReplicaSet:
             self._dir.mkdir(parents=True, exist_ok=True)
             self._own_dir = False
         reaper.register_path(self._dir)
-        self._ctx = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn")
-        self._heartbeats = self._ctx.Array("d", self.config.replicas,
-                                           lock=False)
-        self.handles = [ReplicaHandle(i) for i in range(self.config.replicas)]
-        for handle in self.handles:
-            self._spawn(handle)
-        self._watchdog_halt = threading.Event()
-        self._watchdog = threading.Thread(target=self._watch, daemon=True,
-                                          name="repro-replica-watchdog")
-        self._watchdog.start()
+        self._start()
 
-    # -- events ---------------------------------------------------------
+    @property
+    def handles(self) -> list[ReplicaHandle]:
+        return self.seats
 
-    def emit(self, kind: str, replica_id: int, *, attempt: int = 0,
-             detail: str = "") -> None:
-        event = WorkerEvent(kind=kind, worker_id=replica_id,
-                            attempt=attempt, detail=detail)
-        self.events.append(event)
-        if self.on_event is not None:
-            try:
-                self.on_event(event)
-            except Exception:  # noqa: BLE001 - observer, not ours
-                pass
+    # -- seats ----------------------------------------------------------
 
-    # -- spawning -------------------------------------------------------
-
-    def _seat_paths(self, handle: ReplicaHandle) -> tuple[Path, Path]:
+    def _seat_process(self, handle: ReplicaHandle) -> tuple:
         stem = f"r{handle.replica_id}.{handle.generation}"
-        return self._dir / f"{stem}.sock", self._dir / f"{stem}.pid"
+        handle.socket_path = self._dir / f"{stem}.sock"
+        handle.pid_path = self._dir / f"{stem}.pid"
+        reaper.register_path(handle.socket_path)
+        reaper.register_path(handle.pid_path)
+        return _replica_main, (handle.replica_id, str(handle.socket_path),
+                               self._heartbeats, self.config)
 
-    def _spawn(self, handle: ReplicaHandle) -> None:
-        handle.generation += 1
-        handle.kill_reason = None
-        sock, pid_file = self._seat_paths(handle)
-        reaper.register_path(sock)
-        reaper.register_path(pid_file)
-        handle.socket_path, handle.pid_path = sock, pid_file
-        self._heartbeats[handle.replica_id] = time.monotonic()
-        handle.proc = self._ctx.Process(
-            target=_replica_main,
-            args=(handle.replica_id, str(sock), self._heartbeats,
-                  self.config),
-            daemon=True, name=f"repro-replica-{handle.replica_id}")
-        handle.proc.start()
-        pid_file.write_text(str(handle.proc.pid))
+    def _seat_started(self, handle: ReplicaHandle) -> None:
+        handle.pid_path.write_text(str(handle.proc.pid))
 
-    def _scrap_seat(self, handle: ReplicaHandle) -> None:
+    def _release(self, handle: ReplicaHandle) -> None:
         """Remove (and unledger) one incarnation's socket + pid file."""
         for path in (handle.socket_path, handle.pid_path):
             if path is None:
@@ -464,77 +429,7 @@ class ReplicaSet:
                 pass
             reaper.unregister_path(path)
 
-    # -- supervision ----------------------------------------------------
-
-    def _watch(self) -> None:
-        while not self._watchdog_halt.wait(self.config.heartbeat_s):
-            now = time.monotonic()
-            for handle in self.handles:
-                if not handle.alive:
-                    continue
-                age = now - self._heartbeats[handle.replica_id]
-                if age > self.config.stale_after_s:
-                    self.kill(handle.replica_id,
-                              reason=f"heartbeat stale for {age:.2f}s "
-                                     f"(limit {self.config.stale_after_s}s)",
-                              kind="stale")
-
-    def kill(self, replica_id: int, reason: str, kind: str = "hang") -> None:
-        """SIGKILL one replica; the router sees EOF and takes over."""
-        handle = self.handles[replica_id]
-        if handle.kill_reason is None:
-            handle.kill_reason = reason
-        self.emit(kind, replica_id, detail=reason)
-        if handle.proc is not None and handle.proc.is_alive():
-            handle.proc.kill()
-
-    def respawn(self, replica_id: int) -> bool:
-        """Replace a dead replica, within the set-wide budget.
-
-        Blocking (RetryPolicy backoff sleep + process start) — callers on
-        an event loop run it via ``asyncio.to_thread``. Returns False
-        once the budget is spent; the caller is expected to degrade.
-        """
-        handle = self.handles[replica_id]
-        with self._lock:
-            if self._closing:
-                return False
-            if self.respawns_used >= self.config.max_respawns:
-                self.emit("degrade", replica_id, attempt=self.respawns_used,
-                          detail="replica respawn budget exhausted "
-                                 f"({self.config.max_respawns})")
-                return False
-            attempt = self.respawns_used
-            self.respawns_used += 1
-        time.sleep(self._retry.delay(attempt))
-        with self._lock:
-            if self._closing:
-                return False
-            if handle.proc is not None:
-                handle.proc.join(timeout=5)
-            self._scrap_seat(handle)
-            self._spawn(handle)
-            handle.restarts += 1
-        self.emit("respawn", replica_id, attempt=attempt + 1,
-                  detail=f"generation {handle.generation} "
-                         f"(reason: {handle.kill_reason})")
-        return True
-
-    # -- lifecycle ------------------------------------------------------
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closing:
-                return
-            self._closing = True
-        self._watchdog_halt.set()
-        self._watchdog.join(timeout=5)
-        for handle in self.handles:
-            if handle.proc is not None and handle.proc.is_alive():
-                handle.proc.kill()
-            if handle.proc is not None:
-                handle.proc.join(timeout=5)
-            self._scrap_seat(handle)
+    def _on_close(self) -> None:
         if self._own_dir:
             try:
                 self._dir.rmdir()
@@ -542,8 +437,20 @@ class ReplicaSet:
                 pass
         reaper.unregister_path(self._dir)
 
-    def __enter__(self) -> "ReplicaSet":
-        return self
+    # -- supervision ----------------------------------------------------
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def respawn(self, replica_id: int) -> bool:
+        """Account a dead replica and replace it, within the set-wide
+        budget.
+
+        Blocking (reaps the process, sleeps the RetryPolicy backoff,
+        starts the replacement) — callers on an event loop run it via
+        ``asyncio.to_thread``. Emits the death's fault event (the kind
+        :meth:`kill` recorded, else ``crash``). Returns False once the
+        set is closed or degraded; a spent budget degrades it.
+        """
+        handle = self.seats[replica_id]
+        if self._closed or self.degraded:
+            return False
+        kind, detail = self._reap(handle)
+        return self._respawn(handle, f"replica {replica_id} {kind} ({detail})")

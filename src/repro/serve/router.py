@@ -11,7 +11,7 @@ replica processes:
 * **liveness probes** — a periodic ``ping`` per replica, answered by the
   replica's *serving* threads: a wedged replica with a healthy heartbeat
   thread fails the probe and is SIGKILLed, funnelling hangs into the
-  same EOF-detection path as crashes (the PR 5 watchdog story);
+  same EOF-detection path as crashes (as the supervisor watchdog does);
 * **idempotent re-dispatch** — every request is keyed by a router
   ``rid``; when a replica dies, its outstanding rids are immediately
   re-sent to surviving replicas (bounded by ``max_dispatch_retries``).
@@ -265,7 +265,8 @@ class ReplicaRouter:
 
     def _on_peer_down(self, peer: _Peer) -> None:
         """Transport died: strand-proof every rid it was carrying, then
-        start the bounded respawn path (unless already degraded)."""
+        start the bounded respawn path, which accounts the death (unless
+        already degraded)."""
         if not peer.alive:
             return
         peer.alive = False
@@ -276,12 +277,6 @@ class ReplicaRouter:
         peer.reader = peer.writer = None
         peer.reader_task = None
         peer.probe_rid = None
-        handle = peer.handle
-        if handle.kill_reason is None:
-            exitcode = handle.proc.exitcode if handle.proc else None
-            self.set.emit("crash", handle.replica_id,
-                          detail=f"replica connection lost "
-                                 f"(exitcode {exitcode})")
         stranded, peer.rids = sorted(peer.rids), set()
         for rid in stranded:
             self._redispatch(rid)
@@ -323,7 +318,8 @@ class ReplicaRouter:
                 ok = await asyncio.to_thread(self.set.respawn,
                                              handle.replica_id)
                 if not ok:
-                    self._degrade("replica respawn budget exhausted")
+                    self._degrade(self.set.degrade_reason
+                                  or "replica set closed")
                     return
                 try:
                     await self._attach(peer)
@@ -342,7 +338,7 @@ class ReplicaRouter:
         self.degraded = True
         self.stop_reason = "replicas-degraded"
         self._incr("replica_degrades")
-        self.set.emit("degrade", -1, detail=reason)
+        self.set.degrade(reason)        # idempotent: one degrade event
         if self._probe_task is not None:
             self._probe_task.cancel()
         for fut in self._inflight.values():

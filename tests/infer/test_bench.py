@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
+
 from repro.cli import main as cli_main
 from repro.infer.bench import format_table, run_bench, write_bench
+from repro.parallel import threads
 
 
 class TestRunBench:
@@ -26,6 +29,16 @@ class TestRunBench:
                                                 width=0.125, seed=0)})
         table = format_table(results)
         assert table.count("mlp") == 2        # dense + pruned rows
+        assert table.startswith(
+            f"host: usable cpus={threads.usable_cpus()}, blas threads: ")
+
+    def test_records_the_host(self):
+        results = run_bench(smoke=True, batch_sizes=(1,), repeats=1,
+                            models={"mlp": dict(num_classes=3, image_size=8,
+                                                width=0.125, seed=0)})
+        assert results["usable_cpus"] == threads.usable_cpus()
+        assert results["blas_threads"] == {"parent": threads.blas_threads()}
+        assert results["numpy"] == np.__version__
 
     def test_write_bench_round_trips(self, tmp_path):
         results = run_bench(smoke=True, batch_sizes=(1,), repeats=1,

@@ -10,7 +10,8 @@ from repro.data import make_cifar_like
 from repro.models import build_model
 from repro.parallel import (CRASH_TASK, EchoService, ParallelExecutionError,
                             SupervisedWorkerPool, SupervisionConfig,
-                            TaskFailedError, WorkerEvent, reaper)
+                            TaskFailedError, WorkerEvent, reaper,
+                            resolve_processes, threads)
 from repro.parallel.scoring import ScoringService
 from repro.parallel.shard import TrainingService
 from repro.resilience import RunJournal, worker_fault
@@ -139,6 +140,67 @@ class TestGracefulDegrade:
             assert any(e.kind == "degrade" for e in pool.events)
             # A degraded pool keeps serving, serially.
             assert pool.run_tasks(["d", "e"]) == [("t", "d"), ("t", "e")]
+
+
+class TestZeroBudgetPool:
+    """No respawn and no retry: the first fault degrades the pool."""
+
+    ZERO = SupervisionConfig(**{**FAST, "max_respawns": 0,
+                                "max_task_retries": 0})
+
+    def test_task_failure_closes_the_pool(self):
+        pool = SupervisedWorkerPool(2, EchoService, (), supervision=self.ZERO)
+        # The message carries the remote traceback, exception type included.
+        with pytest.raises(TaskFailedError, match="ValueError: boom"):
+            pool.run_tasks(["ok", {"raise": "boom"}])
+        with pytest.raises(ParallelExecutionError, match="pool is closed"):
+            pool.run_tasks(["after"])
+        pool.close()  # idempotent after the failure path closed it
+
+    def test_crash_degrades_once_without_respawn(self):
+        with SupervisedWorkerPool(2, EchoService, ("t",),
+                                  supervision=self.ZERO) as pool:
+            out = pool.run_tasks(["a", CRASH_TASK, "b"])
+            kinds = [e.kind for e in pool.events]
+        assert kinds == ["crash", "degrade"]
+        assert out == [("t", t) for t in ("a", CRASH_TASK, "b")]
+
+    def test_fresh_pool_works_after_a_degraded_one(self):
+        pool = SupervisedWorkerPool(1, EchoService, (), supervision=self.ZERO)
+        assert pool.run_tasks([CRASH_TASK]) == [("", CRASH_TASK)]
+        assert pool.degraded
+        pool.close()
+        with SupervisedWorkerPool(1, EchoService, (),
+                                  supervision=self.ZERO) as fresh:
+            assert fresh.run_tasks(["x"]) == [("", "x")]
+            assert not fresh.degraded
+
+    def test_one_degrade_event_per_degrade(self):
+        # Retries left but no respawn: the retried task finds no seat.
+        supervision = SupervisionConfig(**{**FAST, "max_respawns": 0})
+        with SupervisedWorkerPool(1, EchoService, ("t",),
+                                  supervision=supervision) as pool:
+            out = pool.run_tasks(["a", CRASH_TASK, "b"])
+            assert pool.degrade("asked again") is False
+            assert pool.run_tasks(["c"]) == [("t", "c")]
+            kinds = [e.kind for e in pool.events]
+        assert out == [("t", t) for t in ("a", CRASH_TASK, "b")]
+        assert kinds == ["crash", "retry", "degrade"]
+        assert "respawn budget exhausted" in pool.degrade_reason
+
+
+def test_resolve_processes_caps_at_workers(monkeypatch):
+    monkeypatch.delenv("REPRO_PARALLEL_PROCESSES", raising=False)
+    assert resolve_processes(4, processes=8) == 4
+    assert resolve_processes(4, processes=2) == 2
+    assert resolve_processes(4, processes=0) == 1
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    assert resolve_processes(4) == 2        # the usable CPUs
+    assert resolve_processes(1) == 1        # never more than the workers
+    monkeypatch.setenv("REPRO_PARALLEL_PROCESSES", "3")
+    assert resolve_processes(8) == 3
+    assert resolve_processes(2) == 2
+    assert resolve_processes(8, processes=5) == 5   # argument beats env
 
 
 class TestBitIdentity:

@@ -214,7 +214,10 @@ class TestReplicaSetLifecycle:
             assert _poll(lambda: not rset.handles[0].alive)
             assert rset.respawn(0) is False
             assert rset.respawns_used == 0
-            assert "degrade" in [e.kind for e in rset.events]
+            assert [e.kind for e in rset.events] == ["crash", "degrade"]
+            assert rset.respawn(1) is False      # degraded: no second event
+            assert rset.degrade("asked again") is False
+            assert [e.kind for e in rset.events] == ["crash", "degrade"]
         finally:
             rset.close()
 
@@ -313,6 +316,12 @@ class TestReplicatedServing:
                     "replicas-degraded"
         finally:
             rset.close()
+        # One degrade, one event: the set's budget check and the router's
+        # fallback share the set's idempotent degrade().
+        assert [e["kind"] for e in stats["replicas"]["events"]] == \
+            ["crash", "degrade"]
+        assert [e.kind for e in rset.events] == ["crash", "degrade"]
+        assert rset.degraded
 
     def test_rolling_deploy_moves_the_whole_fleet(self, tmp_path):
         checkpoint, rset, router, registry = self._stack(tmp_path)
