@@ -1,45 +1,23 @@
-"""Worker pool: ordered results, crash detection, error propagation."""
+"""Worker pool at its default supervision: ordered results, reuse, and
+construction errors. Fault drills live in test_supervisor.py."""
 
 import pytest
 
-from repro.parallel import (CRASH_TASK, EchoService, ParallelExecutionError,
-                            WorkerPool, resolve_processes)
+from repro.parallel import (EchoService, ParallelExecutionError,
+                            SupervisedWorkerPool)
 
 
 def test_results_come_back_in_task_order():
-    with WorkerPool(2, EchoService, ("tag",)) as pool:
+    with SupervisedWorkerPool(2, EchoService, ("tag",)) as pool:
         tasks = list(range(7))
         assert pool.run_tasks(tasks) == [("tag", t) for t in tasks]
 
 
 def test_pool_is_reusable_across_run_tasks_calls():
-    with WorkerPool(1, EchoService, ()) as pool:
+    with SupervisedWorkerPool(1, EchoService, ()) as pool:
         assert pool.run_tasks(["a"]) == [("", "a")]
         assert pool.run_tasks(["b", "c"]) == [("", "b"), ("", "c")]
-
-
-def test_service_exception_surfaces_with_remote_traceback():
-    pool = WorkerPool(2, EchoService, ())
-    with pytest.raises(ParallelExecutionError, match="boom"):
-        pool.run_tasks(["ok", {"raise": "boom"}])
-    # The traceback names the remote exception type.
-    with pytest.raises(ParallelExecutionError, match="pool is closed"):
-        pool.run_tasks(["after"])
-
-
-def test_worker_crash_raises_clean_error():
-    pool = WorkerPool(2, EchoService, ())
-    with pytest.raises(ParallelExecutionError, match="exit code"):
-        pool.run_tasks(["a", CRASH_TASK, "b"])
-    pool.close()  # idempotent after the failure path closed it
-
-
-def test_fresh_pool_works_after_a_crash():
-    pool = WorkerPool(1, EchoService, ())
-    with pytest.raises(ParallelExecutionError):
-        pool.run_tasks([CRASH_TASK])
-    with WorkerPool(1, EchoService, ()) as fresh:
-        assert fresh.run_tasks(["x"]) == [("", "x")]
+        assert pool.events == []
 
 
 def test_init_failure_reports_worker_traceback():
@@ -47,19 +25,11 @@ def test_init_failure_reports_worker_traceback():
         def __init__(self):
             raise RuntimeError("cannot construct")
 
-    with pytest.raises(ParallelExecutionError, match="initialise"):
-        WorkerPool(1, Broken, ())
-
-
-def test_resolve_processes_caps_at_workers(monkeypatch):
-    monkeypatch.delenv("REPRO_PARALLEL_PROCESSES", raising=False)
-    assert resolve_processes(4, processes=8) == 4
-    assert resolve_processes(4, processes=2) == 2
-    assert resolve_processes(4, processes=0) == 1
-    monkeypatch.setenv("REPRO_PARALLEL_PROCESSES", "3")
-    assert resolve_processes(8) == 3
+    with pytest.raises(ParallelExecutionError,
+                       match="(?s)initialise.*cannot construct"):
+        SupervisedWorkerPool(1, Broken, ())
 
 
 def test_invalid_process_count_rejected():
     with pytest.raises(ValueError):
-        WorkerPool(0, EchoService, ())
+        SupervisedWorkerPool(0, EchoService, ())
