@@ -15,10 +15,11 @@ Pieces (each importable on its own):
 ``registry``    name@version model registry, hot-swap, degrade-to-eager
 ``manifest``    journaled deploy manifest + warm restart (``--resume``)
 ``server``      the asyncio NDJSON frontend (deadlines, graceful drain)
-``replica``     replica worker processes: per-process registry + engine
-                behind a unix socket, heartbeats, bounded respawn
+``replica``     replica worker processes: a per-process ``server`` with
+                no TCP listener, behind a unix-socket link, heartbeats,
+                bounded respawn
 ``router``      health-aware dispatch across replicas: least-outstanding
-                routing, liveness probes, rid-keyed failover, hedging,
+                routing, liveness probes, id-keyed failover, hedging,
                 circuit breakers, rolling deploys, degrade
 ``client``      minimal blocking client (tests, drills, load generator)
 ``resilient``   self-healing client: reconnect, backoff, circuit breaker

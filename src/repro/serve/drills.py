@@ -76,13 +76,19 @@ def _tiny_model(seed: int, pruned: bool = False):
     return model
 
 
-class _SlowEngine:
-    """Engine wrapper that makes every batch take a while (queues form)."""
+class SlowEngine:
+    """Engine wrapper that makes every batch take a while (queues form).
+
+    Shared by the drills here and by replicas started with
+    ``ReplicaConfig.engine_delay_ms``.
+    """
 
     def __init__(self, engine, delay_s: float):
         self._engine = engine
         self._delay = delay_s
-        self.max_batch = engine.max_batch
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
 
     def run(self, x):
         _CLOCK.sleep(self._delay)
@@ -151,7 +157,7 @@ def _drill_serve_shed(seed: int):
         registry.deploy("m", "v1", model=model, input_shape=(3, 8, 8),
                         seed=seed)
         _, version = registry.resolve("m")
-        version.runner.engine = _SlowEngine(version.engine, delay_s=0.02)
+        version.runner.engine = SlowEngine(version.engine, delay_s=0.02)
 
         workers = 2 * max_pending          # offered load 2× the bound
         per_worker = 6

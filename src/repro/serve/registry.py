@@ -409,15 +409,6 @@ class ModelRegistry:
 
     # -- inference ------------------------------------------------------
 
-    def submit(self, ref: str):
-        """Admission-checked routing: ``(line, version)`` for one request.
-
-        The caller owns the ticket lifecycle; admission has already been
-        charged, so the caller must hand every outcome (including its own
-        failures) back to ``line.admission.on_complete``.
-        """
-        return self.resolve(ref)
-
     def eager_infer(self, line: _Line, version: ModelVersion,
                     sample: np.ndarray) -> np.ndarray:
         """Serial eager forward — the degraded/fallback path."""

@@ -1,12 +1,24 @@
 """Replica worker processes: the compute tier behind the router.
 
-One :class:`ReplicaSet` owns N worker *processes*, each running its own
-:class:`~repro.serve.registry.ModelRegistry` (compiled engine + its own
-:class:`~repro.infer.BatchRunner`) behind a private unix-domain NDJSON
-socket. The asyncio frontend (:class:`~repro.serve.router.ReplicaRouter`)
-dials those sockets and spreads traffic across them, so a crash, hang,
-or GIL-bound compute spike in one replica costs 1/N capacity instead of
-the whole service.
+One :class:`ReplicaSet` owns N worker *processes*. Each hosts an
+:class:`~repro.serve.server.InferenceServer` over its own
+:class:`~repro.serve.registry.ModelRegistry` with no TCP listener,
+behind a short asyncio link on a private unix socket. The asyncio
+frontend (:class:`~repro.serve.router.ReplicaRouter`) dials those
+sockets and spreads traffic across them, so a crash, hang, or GIL-bound
+compute spike in one replica costs 1/N capacity instead of the whole
+service.
+
+The link speaks the public protocol of :mod:`repro.serve.server` and
+runs each line through the server's dispatch as its own task, so the
+router's one pipelined connection still fills the replica's batches.
+Both tiers therefore share one implementation of request validation,
+deadlines, fault containment (retry → eager), swaps and stats. A
+replica differs from the front door only in that its admission bounds
+are off (the front door already admitted the request), its ``stats``
+add the ``latency_samples`` and ``blas_threads`` the fleet roll-up
+reads, and, with ``allow_chaos=True``, ``{"op": "chaos"}`` wedges its
+serving path for the hang drill.
 
 Replica seats run on the same supervision core as the worker pool's
 seats (:class:`~repro.parallel.supervisor.ProcessSupervisor`): each
@@ -27,44 +39,23 @@ Replica-owned filesystem artifacts (the socket directory, each
 incarnation's socket and pid file) are ledgered with
 :func:`repro.parallel.reaper.register_path`, so a SIGKILLed serve run
 leaves nothing behind that the next run's orphan sweep won't reclaim.
-
-Replica wire protocol (one JSON object per line, same framing as the
-public server):
-
-* ``{"op": "ping", "rid": r}`` → ``{"rid": r, "ok": true, "pong": true}``
-  — the router's liveness probe; answered from a connection thread, so a
-  wedged serving path (not just a dead process) fails to answer.
-* ``{"op": "deploy", "rid": r, "name": ..., "version": ...,
-  "checkpoint"|"artifact": path}`` — runs the full compile+probe-validate
-  deploy gate of the replica's own registry, off-thread so probes keep
-  flowing during a long compile. A rejected artifact answers
-  ``error: "swap-rejected"`` and leaves the old version serving.
-* ``{"op": "infer", "rid": r, "model": ..., "input": [...],
-  "deadline_ms": ...}`` — batched inference; replies may arrive out of
-  order (the ticket callback writes the response under a write lock).
-* ``{"op": "stats"}`` — counters + retained latency samples for
-  fleet-wide aggregation, and the replica's BLAS thread count (each
-  replica takes ``budget(replicas)`` from
-  :mod:`repro.parallel.threads` at spawn); ``{"op": "chaos"}`` (only when
-  ``allow_chaos=True``) wedges the service for hang drills.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import socket
+import asyncio
+import sys
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from ..parallel import reaper, threads
 from ..parallel.supervisor import ProcessSupervisor, Seat, heartbeat
 from ..resilience.retry import RetryPolicy
+from .registry import ModelRegistry
+from .server import InferenceServer
+from .shedding import SheddingConfig
 
 __all__ = ["ReplicaSpec", "ReplicaConfig", "ReplicaSet"]
 
@@ -79,7 +70,7 @@ class ReplicaSpec:
     artifact: str | None = None
 
     def deploy_payload(self) -> dict:
-        payload = {"op": "deploy", "name": self.name, "version": self.version}
+        payload = {"op": "swap", "name": self.name, "version": self.version}
         if self.checkpoint is not None:
             payload["checkpoint"] = str(self.checkpoint)
         if self.artifact is not None:
@@ -130,224 +121,97 @@ class ReplicaConfig:
 # ---------------------------------------------------------------------------
 
 
-class _DelayedEngine:
-    """Chaos shim: a compiled engine with an artificial per-run delay."""
-
-    def __init__(self, engine, delay_s: float):
-        self._engine = engine
-        self._delay_s = delay_s
-
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
-
-    def run(self, batch):
-        time.sleep(self._delay_s)
-        return self._engine.run(batch)
+# Admission is the front door's job: a replica never sheds a request the
+# front door already admitted, so its queue-depth and SLO gates are off.
+_UNBOUNDED = SheddingConfig(max_pending=sys.maxsize, p99_budget_ms=None)
 
 
-class _ReplicaService:
-    """Everything that runs *inside* one replica process."""
+class _ReplicaServer(InferenceServer):
+    """The front door's request path inside one replica process.
 
-    def __init__(self, replica_id: int, config: ReplicaConfig):
-        # Imported here (not module top level) purely for clarity that
-        # these objects live in the child: each replica owns a private
-        # registry/metrics pair, never shared memory with the parent.
-        from .metrics import ServerMetrics
-        from .registry import ModelRegistry
-        self.replica_id = replica_id
-        self.config = config
-        self.metrics = ServerMetrics()
-        self.registry = ModelRegistry(max_batch=config.max_batch,
-                                      metrics=self.metrics)
-        self._deploy_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._wedged = False            # chaos: hang the serving path
+    No TCP listener: :meth:`serve_link` reads the router's lines off a
+    unix socket and runs each through :meth:`_dispatch` as its own task,
+    so one pipelined connection still fills the replica's batches.
+    """
 
-    # -- socket loop ----------------------------------------------------
+    def __init__(self, config: ReplicaConfig):
+        super().__init__(ModelRegistry(max_batch=config.max_batch,
+                                       shedding=_UNBOUNDED))
+        self.replica_config = config
+        self._wedged = False
+        self._tasks: set[asyncio.Task] = set()
 
-    def serve(self, socket_path: str) -> None:
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    def stats(self) -> dict:
+        payload = super().stats()
+        # What the router's fleet roll-up merges across replicas.
+        payload["latency_samples"] = self.metrics.latency_samples()
+        payload["blas_threads"] = threads.blas_threads()
+        return payload
+
+    async def _swap(self, msg: dict) -> dict:
+        reply = await super()._swap(msg)
+        delay_ms = self.replica_config.engine_delay_ms
+        if reply["ok"] and delay_ms > 0:
+            from .drills import SlowEngine
+            _, active = self.registry.resolve(msg["name"])
+            active.runner.engine = SlowEngine(active.engine, delay_ms / 1e3)
+        return reply
+
+    async def _other_op(self, op: str, msg: dict) -> dict:
+        if op == "chaos" and self.replica_config.allow_chaos:
+            # Freeze the serving path: the heartbeat keeps beating, so
+            # only the router's liveness probe can tell.
+            self._wedged = True
+            return {"id": msg.get("id"), "ok": True, "wedged": True}
+        return await super()._other_op(op, msg)
+
+    async def serve_link(self, socket_path: str) -> None:
+        link = await asyncio.start_unix_server(
+            self._link, socket_path, limit=self.config.max_line_bytes)
+        async with link:
+            await link.serve_forever()
+
+    async def _link(self, reader: asyncio.StreamReader,
+                    writer: asyncio.StreamWriter) -> None:
         try:
-            os.unlink(socket_path)
-        except FileNotFoundError:
-            pass
-        listener.bind(socket_path)
-        listener.listen(8)
-        while not self._stop.is_set():
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                break
-            threading.Thread(target=self._serve_conn, args=(conn,),
-                             daemon=True,
-                             name=f"repro-replica-{self.replica_id}").start()
-        listener.close()
-        self.registry.close()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        reader = conn.makefile("rb")
-        write_lock = threading.Lock()
-
-        def send(payload: dict) -> None:
-            data = json.dumps(payload).encode("utf-8") + b"\n"
-            try:
-                with write_lock:
-                    conn.sendall(data)
-            except OSError:
-                pass                    # peer gone; router re-dispatches
-
-        try:
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                while self._wedged and not self._stop.is_set():
-                    time.sleep(0.01)    # chaos: probes go unanswered
+            while True:
                 try:
-                    msg = json.loads(line)
-                except ValueError:
-                    send({"ok": False, "error": "bad-request",
-                          "message": "malformed JSON line"})
-                    continue
-                if not self._dispatch(msg, send):
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError:
                     break
-        except OSError:
+                except asyncio.LimitOverrunError:
+                    if not await self._reject_oversized(reader, writer):
+                        break
+                    continue
+                if self._wedged:
+                    await asyncio.Event().wait()    # never answers again
+                task = asyncio.create_task(self._answer(line, writer))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
+        except (ConnectionError, OSError):
             pass
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            writer.close()
 
-    def _dispatch(self, msg: dict, send) -> bool:
-        op = msg.get("op", "infer")
-        rid = msg.get("rid")
-        if op == "ping":
-            send({"rid": rid, "ok": True, "pong": True,
-                  "replica": self.replica_id})
-        elif op == "infer":
-            self._infer(msg, send)
-        elif op == "deploy":
-            # Off-thread: a long compile must not block probe replies on
-            # this connection (a false hang-kill mid-deploy would defeat
-            # the rolling deploy's N−1 capacity guarantee).
-            threading.Thread(target=self._deploy, args=(msg, send),
-                             daemon=True).start()
-        elif op == "stats":
-            send({"rid": rid, "ok": True, "stats": self._stats()})
-        elif op == "chaos" and self.config.allow_chaos:
-            self._wedged = bool(msg.get("wedged", True))
-            send({"rid": rid, "ok": True, "wedged": self._wedged})
-        elif op == "shutdown":
-            send({"rid": rid, "ok": True, "bye": True})
-            self._stop.set()
-            return False
-        else:
-            send({"rid": rid, "ok": False, "error": "unknown-op",
-                  "message": f"unknown op {op!r}"})
-        return True
-
-    # -- ops ------------------------------------------------------------
-
-    def _deploy(self, msg: dict, send) -> None:
-        from .registry import SwapValidationError
-        rid = msg.get("rid")
-        name, version = msg.get("name"), msg.get("version")
-        if not name or not version:
-            send({"rid": rid, "ok": False, "error": "bad-request",
-                  "message": "deploy needs name and version"})
-            return
+    async def _answer(self, line: bytes, writer: asyncio.StreamWriter
+                      ) -> None:
+        response = await self._dispatch(line)
         try:
-            with self._deploy_lock:
-                report = self.registry.deploy(
-                    name, version, checkpoint=msg.get("checkpoint"),
-                    artifact=msg.get("artifact"))
-                if self.config.engine_delay_ms > 0:
-                    _, active = self.registry.resolve(name)
-                    active.runner.engine = active.engine = _DelayedEngine(
-                        active.engine, self.config.engine_delay_ms / 1e3)
-        except Exception as exc:  # noqa: BLE001 - answer, don't die
-            kind = ("swap-rejected" if isinstance(exc, SwapValidationError)
-                    else "deploy-failed")
-            send({"rid": rid, "ok": False, "error": kind,
-                  "message": f"{type(exc).__name__}: {exc}"})
-            return
-        send({"rid": rid, "ok": True, "swap": report.as_dict()})
-
-    def _infer(self, msg: dict, send) -> None:
-        from ..infer.batcher import DeadlineExpired
-        from .registry import NoSuchModelError
-        rid = msg.get("rid")
-        ref = msg.get("model")
-        if not ref or "input" not in msg:
-            send({"rid": rid, "ok": False, "error": "bad-request",
-                  "message": "infer needs model and input"})
-            return
-        start = time.monotonic()
-        try:
-            _, version = self.registry.resolve(ref)
-        except NoSuchModelError as exc:
-            send({"rid": rid, "ok": False, "error": "no-such-model",
-                  "message": str(exc.args[0])})
-            return
-        try:
-            sample = np.asarray(msg["input"], dtype=np.float32)
-        except (TypeError, ValueError) as exc:
-            send({"rid": rid, "ok": False, "error": "bad-request",
-                  "message": str(exc)})
-            return
-        deadline_ms = msg.get("deadline_ms")
-        deadline = (None if deadline_ms is None
-                    else start + float(deadline_ms) / 1e3)
-        try:
-            ticket = version.runner.submit(sample, deadline=deadline)
-        except RuntimeError as exc:     # runner closed (shutdown race)
-            self.metrics.incr("errors")
-            send({"rid": rid, "ok": False, "error": "replica-fault",
-                  "message": str(exc)})
-            return
-
-        def resolved(t) -> None:
-            if t._error is not None:
-                if isinstance(t._error, DeadlineExpired):
-                    self.metrics.incr("expired")
-                    send({"rid": rid, "ok": False, "error": "expired",
-                          "message": str(t._error)})
-                else:
-                    self.metrics.incr("errors")
-                    send({"rid": rid, "ok": False, "error": "replica-fault",
-                          "message": f"{type(t._error).__name__}: "
-                                     f"{t._error}"})
-                return
-            latency_ms = (time.monotonic() - start) * 1e3
-            self.metrics.record_completion(version.ref, latency_ms)
-            send({"rid": rid, "ok": True, "model": version.ref,
-                  "output": t._value.tolist(),
-                  "latency_ms": round(latency_ms, 3),
-                  "replica": self.replica_id})
-
-        ticket.add_done_callback(resolved)
-
-    def _stats(self) -> dict:
-        return {
-            "replica": self.replica_id,
-            "pid": os.getpid(),
-            "blas_threads": threads.blas_threads(),
-            "counters": dict(self.metrics.counters),
-            "latency": self.metrics.snapshot()["latency"],
-            "latency_samples": self.metrics.latency_samples(),
-            "models": {name: info["active"]
-                       for name, info in self.registry.models().items()},
-        }
+            await self._send(writer, response)
+        except (ConnectionError, OSError):
+            pass                        # router gone; it re-dispatches
 
 
 def _replica_main(replica_id: int, socket_path: str, heartbeats,
                   config: ReplicaConfig) -> None:
-    """Process entry point: heartbeat thread + threaded socket service."""
+    """Process entry point: heartbeat thread + the replica's server."""
     threads.set_blas_threads(threads.budget(config.replicas))
-    service = _ReplicaService(replica_id, config)
-    heartbeat(heartbeats, replica_id, config.heartbeat_s, service._stop)
-    service.serve(socket_path)
+    heartbeat(heartbeats, replica_id, config.heartbeat_s, threading.Event())
+    server = _ReplicaServer(config)
+    try:
+        asyncio.run(server.serve_link(socket_path))
+    finally:
+        server.registry.close()
 
 
 # ---------------------------------------------------------------------------

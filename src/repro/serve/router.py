@@ -3,21 +3,24 @@
 The asyncio frontend (:class:`~.server.InferenceServer`) stays the single
 front door; when constructed with a router it stops running inference on
 its own thread and instead dispatches each accepted request to one of N
-replica processes:
+replica processes. Each replica runs an ``InferenceServer`` of its own,
+so the router speaks the public protocol to it over one pipelined unix
+socket per replica: ``infer``, ``swap``, ``stats`` and ``ping``, each
+keyed by a router-assigned ``id`` (a client's ``rid`` stays the front
+door's idempotency key and never reaches a replica):
 
 * **least-outstanding routing** — the replica with the fewest in-flight
   requests wins (ties break on total served, then id), skipping replicas
   whose circuit breaker is open;
 * **liveness probes** — a periodic ``ping`` per replica, answered by the
-  replica's *serving* threads: a wedged replica with a healthy heartbeat
+  replica's event loop: a wedged replica with a healthy heartbeat
   thread fails the probe and is SIGKILLed, funnelling hangs into the
   same EOF-detection path as crashes (as the supervisor watchdog does);
-* **idempotent re-dispatch** — every request is keyed by a router
-  ``rid``; when a replica dies, its outstanding rids are immediately
-  re-sent to surviving replicas (bounded by ``max_dispatch_retries``).
-  The first reply wins and duplicates are discarded, so an accepted
-  request is answered exactly once no matter how many replicas failed
-  under it;
+* **idempotent re-dispatch** — every request is keyed by its ``id``;
+  when a replica dies, its outstanding requests are immediately re-sent
+  to surviving replicas (bounded by ``max_dispatch_retries``). The first
+  reply wins and duplicates are discarded, so an accepted request is
+  answered exactly once no matter how many replicas failed under it;
 * **hedged retries** — with ``hedge_after_ms`` set, a request still
   unanswered after that long is duplicated onto a second replica *if*
   its deadline budget allows; first answer wins;
@@ -27,10 +30,11 @@ replica processes:
   (``stop_reason="replicas-degraded"``), resolves everything in flight
   toward the server's in-process single-runner path, and stops touching
   processes. Accepted requests survive the transition;
-* **rolling deploys** — :meth:`ReplicaRouter.rolling_deploy` drains and
-  re-deploys one replica at a time through each replica's own
+* **rolling deploys** — :meth:`ReplicaRouter.rolling_deploy` drains one
+  replica at a time and sends it a ``swap`` through its own
   compile+probe-validate gate, so capacity never drops below N−1 and a
-  rejected artifact aborts with every replica still on the old version.
+  rejected checkpoint or artifact aborts with every replica still on the
+  old version.
 
 Failing over to the local path is signalled with
 :class:`ReplicasUnavailable` — the server catches it and serves the
@@ -48,6 +52,9 @@ from ..infer.batcher import DeadlineExpired
 from .metrics import LatencyReservoir, sum_counters
 from .replica import ReplicaSet, ReplicaSpec
 from .resilient import CircuitBreaker
+from .server import ServeConfig
+
+_LINE_LIMIT = ServeConfig.max_line_bytes    # both ends of a replica link
 
 __all__ = ["ReplicasUnavailable", "ReplicaRouter"]
 
@@ -171,7 +178,7 @@ class ReplicaRouter:
         while True:
             try:
                 reader, writer = await asyncio.open_unix_connection(
-                    str(handle.socket_path))
+                    str(handle.socket_path), limit=_LINE_LIMIT)
                 break
             except (FileNotFoundError, ConnectionRefusedError, OSError):
                 if not handle.alive:
@@ -215,11 +222,11 @@ class ReplicaRouter:
         peer.reader = peer.writer = None
         peer.probe_rid = None
 
-    def _send(self, peer: _Peer, payload: dict) -> bool:
+    def _send(self, peer: _Peer, line: bytes) -> bool:
         if peer.writer is None or peer.writer.is_closing():
             return False
         try:
-            peer.writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+            peer.writer.write(line)
         except (ConnectionError, OSError, RuntimeError):
             return False
         return True
@@ -245,7 +252,7 @@ class ReplicaRouter:
     # -- reply / failure handling ---------------------------------------
 
     def _on_reply(self, peer: _Peer, msg: dict) -> None:
-        rid = msg.get("rid")
+        rid = msg.get("id")
         if rid is None:
             return
         peer.rids.discard(rid)
@@ -374,12 +381,17 @@ class ReplicaRouter:
 
     def _send_infer(self, peer: _Peer, rid: str, meta: _ReqMeta) -> None:
         payload = dict(meta.payload)
-        payload["rid"] = rid
+        payload["id"] = rid
         if meta.deadline is not None:
             payload["deadline_ms"] = max(
                 (meta.deadline - self.clock.monotonic()) * 1e3, 1.0)
+        line = _encode(payload)
+        if len(line) > _LINE_LIMIT:     # the replica's link would refuse it
+            self._inflight[rid].set_exception(ReplicasUnavailable(
+                "request line exceeds the replica link's limit"))
+            return
         peer.rids.add(rid)
-        if not self._send(peer, payload):
+        if not self._send(peer, line):
             peer.rids.discard(rid)
             self._on_peer_down(peer)    # dead transport found early
             self._redispatch(rid)       # bounded by meta.attempts
@@ -409,8 +421,10 @@ class ReplicaRouter:
         self._send_infer(peer, rid, meta)
 
     async def dispatch_infer(self, ref: str, raw_input,
-                             deadline: float | None = None) -> dict:
-        """Route one inference; returns the winning replica's reply.
+                             deadline: float | None = None
+                             ) -> tuple[int, dict]:
+        """Route one inference; returns ``(replica_id, reply)`` of the
+        replica that answered first.
 
         ``deadline`` is absolute seconds on the router's clock. Raises
         :class:`ReplicasUnavailable` when the request should be served
@@ -439,14 +453,14 @@ class ReplicaRouter:
             try:
                 if hedge_wait is not None and hedge_wait < timeout:
                     try:
-                        _, msg = await asyncio.wait_for(
+                        winner, msg = await asyncio.wait_for(
                             asyncio.shield(fut), hedge_wait)
                     except asyncio.TimeoutError:
                         self._hedge(rid, exclude=(primary,))
-                        _, msg = await asyncio.wait_for(
+                        winner, msg = await asyncio.wait_for(
                             fut, timeout - hedge_wait)
                 else:
-                    _, msg = await asyncio.wait_for(fut, timeout)
+                    winner, msg = await asyncio.wait_for(fut, timeout)
             except asyncio.TimeoutError:
                 if deadline is not None \
                         and self.clock.monotonic() >= deadline:
@@ -456,7 +470,7 @@ class ReplicaRouter:
                 raise TimeoutError(
                     f"replicated inference exceeded "
                     f"{self.config.request_timeout_s:.1f}s budget") from None
-            return msg
+            return winner.handle.replica_id, msg
         finally:
             self._inflight.pop(rid, None)
             self._meta.pop(rid, None)
@@ -490,13 +504,13 @@ class ReplicaRouter:
             rid = self._next_rid("p")
             peer.probe_rid = rid
             peer.probe_sent_at = now
-            self._send(peer, {"op": "ping", "rid": rid})
+            self._send(peer, _encode({"op": "ping", "id": rid}))
 
     # -- control-plane requests ------------------------------------------
 
     async def _control(self, peer: _Peer, payload: dict,
                        timeout: float) -> dict:
-        """One rid-keyed request to a *specific* replica (deploy/stats).
+        """One keyed request to a *specific* replica (swap/stats).
 
         Control requests are not re-dispatchable; a replica death turns
         into an error reply, never a retry on a different replica."""
@@ -505,8 +519,8 @@ class ReplicaRouter:
         self._inflight[rid] = fut
         peer.rids.add(rid)
         try:
-            if not peer.alive or not self._send(peer,
-                                                {**payload, "rid": rid}):
+            if not peer.alive or not self._send(
+                    peer, _encode({**payload, "id": rid})):
                 return {"ok": False, "error": "replica-down",
                         "message": f"replica {peer.handle.replica_id} "
                                    "is not reachable"}
@@ -618,7 +632,8 @@ class ReplicaRouter:
             entry = per_replica[str(peer.handle.replica_id)]
             entry["counters"] = stats.get("counters", {})
             entry["latency"] = stats.get("latency")
-            entry["models"] = stats.get("models")
+            entry["models"] = {name: info["active"] for name, info
+                               in (stats.get("models") or {}).items()}
             entry["blas_threads"] = stats.get("blas_threads")
             samples = stats.get("latency_samples", [])
             lifetime = (stats.get("latency") or {}).get("count")
@@ -637,3 +652,7 @@ class ReplicaRouter:
             },
             "per_replica": per_replica,
         }
+
+
+def _encode(payload: dict) -> bytes:
+    return json.dumps(payload).encode("utf-8") + b"\n"

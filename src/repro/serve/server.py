@@ -11,9 +11,11 @@ object back per request, stdlib only:
   "reason": "queue-full" | "slo"}``.
 * ``{"op": "stats"}`` → the full :class:`~.metrics.ServerMetrics`
   snapshot plus per-model registry state (the ``/stats`` endpoint).
-* ``{"op": "swap", "name": ..., "version": ..., "checkpoint": path}`` →
-  hot-swap through :meth:`~.registry.ModelRegistry.deploy`; traffic keeps
-  flowing while the replacement compiles and validates off-loop.
+* ``{"op": "swap", "name": ..., "version": ..., "checkpoint"|"artifact":
+  path}`` → hot-swap through :meth:`~.registry.ModelRegistry.deploy`;
+  traffic keeps flowing while the replacement compiles and validates
+  off-loop. A candidate that fails its gate (or a corrupt checkpoint)
+  answers ``error: "swap-rejected"`` and the old version keeps serving.
 * ``{"op": "models"}``, ``{"op": "ping"}`` — introspection.
 
 Each connection is served sequentially (one in-flight request per
@@ -53,6 +55,7 @@ import numpy as np
 
 from ..clock import SYSTEM_CLOCK, Clock
 from ..infer.batcher import DeadlineExpired
+from ..io.checkpoint import CheckpointCorruptError
 from .metrics import ServerMetrics
 from .registry import ModelRegistry, NoSuchModelError, SwapValidationError
 
@@ -201,19 +204,7 @@ class InferenceServer:
                         break               # clean EOF
                     line = exc.partial      # final request, no newline
                 except asyncio.LimitOverrunError:
-                    # The line overran max_line_bytes. Consume the rest
-                    # of it (the client may still be writing; reading is
-                    # what unblocks it), answer explicitly, and keep the
-                    # connection alive — an oversized request is the
-                    # client's bug, not a reason to hang up mid-stream.
-                    self.metrics.incr("received")
-                    recovered = await self._discard_oversized(reader)
-                    await self._send(writer, {
-                        "ok": False, "error": "bad-request",
-                        "reason": "line-too-long",
-                        "message": (f"request line exceeds "
-                                    f"{self.config.max_line_bytes} bytes")})
-                    if not recovered:
+                    if not await self._reject_oversized(reader, writer):
                         break
                     continue
                 if not line:
@@ -241,6 +232,20 @@ class InferenceServer:
             except (ConnectionResetError, BrokenPipeError,
                     asyncio.CancelledError):
                 pass
+
+    async def _reject_oversized(self, reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter) -> bool:
+        """Consume and answer a line that overran ``max_line_bytes``
+        (reading is what unblocks a client still writing it); True if
+        the connection can read on — an oversized request is the
+        client's bug, not a reason to hang up mid-stream."""
+        self.metrics.incr("received")
+        recovered = await self._discard_oversized(reader)
+        await self._send(writer, {
+            "ok": False, "error": "bad-request", "reason": "line-too-long",
+            "message": (f"request line exceeds "
+                        f"{self.config.max_line_bytes} bytes")})
+        return recovered
 
     async def _discard_oversized(self, reader: asyncio.StreamReader) -> bool:
         """Eat the remainder of an over-limit line; True once its newline
@@ -298,14 +303,18 @@ class InferenceServer:
                 return {"id": rid, "ok": True, "pong": True}
             if op == "swap":
                 return await self._swap(msg)
-            return {"id": rid, "ok": False, "error": "unknown-op",
-                    "message": f"unknown op {op!r}"}
+            return await self._other_op(op, msg)
         except Exception as exc:  # noqa: BLE001 - protocol boundary
             self.metrics.incr("errors")
             return {"id": rid, "ok": False, "error": "internal",
                     "message": f"{type(exc).__name__}: {exc}"}
 
     # -- ops ------------------------------------------------------------
+
+    async def _other_op(self, op: str, msg: dict) -> dict:
+        """Answer an op the public protocol does not define."""
+        return {"id": msg.get("id"), "ok": False, "error": "unknown-op",
+                "message": f"unknown op {op!r}"}
 
     def stats(self) -> dict:
         lifecycle = {"draining": self._draining, "inflight": self._inflight}
@@ -322,18 +331,20 @@ class InferenceServer:
             return {"id": rid, "ok": False, "error": "draining",
                     "message": "server is draining; no new deployments"}
         name, version = msg.get("name"), msg.get("version")
-        checkpoint = msg.get("checkpoint")
-        if not name or not version or not checkpoint:
+        source = {key: msg[key] for key in ("checkpoint", "artifact")
+                  if msg.get(key)}
+        if not name or not version or len(source) != 1:
             return {"id": rid, "ok": False, "error": "bad-request",
-                    "message": "swap needs name, version, checkpoint"}
+                    "message": "swap needs name, version, and one of "
+                               "checkpoint or artifact"}
         rolling = None
         if self.router is not None and self.router.usable:
             # Rolling deploy: one replica at a time through its own
             # compile+probe-validate gate. A rejection aborts with every
             # replica still on the old version — the local registry is
             # then never touched, so frontend and fleet stay consistent.
-            rolling = await self.router.rolling_deploy(
-                name, version, checkpoint=checkpoint)
+            rolling = await self.router.rolling_deploy(name, version,
+                                                       **source)
             if not rolling.get("ok"):
                 return {"id": rid, "ok": False, "error": "swap-rejected",
                         "message": rolling.get("message", ""),
@@ -341,8 +352,8 @@ class InferenceServer:
         try:
             # Compile + validate off-loop so traffic keeps flowing.
             report = await asyncio.to_thread(
-                self.registry.deploy, name, version, checkpoint=checkpoint)
-        except SwapValidationError as exc:
+                self.registry.deploy, name, version, **source)
+        except (SwapValidationError, CheckpointCorruptError) as exc:
             return {"id": rid, "ok": False, "error": "swap-rejected",
                     "message": str(exc), "rolling": rolling}
         self.metrics.incr("swaps")
@@ -437,28 +448,33 @@ class InferenceServer:
 
         Returns ``(output_list, served_by, model_ref)``, or ``None`` when
         the request should be served on the local in-process path instead
-        (no routable replica, re-dispatch budget spent, replica-side
-        engine fault, or the tier just degraded). The replica's output
+        (no routable replica, re-dispatch budget spent, the tier just
+        degraded, or any answer but ``ok``, ``expired``, ``bad-request``
+        and ``timeout``). A replica runs this same request path, so it
+        has already been through the retry → eager ladder. Its output
         list is passed through verbatim — no numpy round-trip — so the
         bytes the replica computed are the bytes the client decodes.
         """
         from .router import ReplicasUnavailable
         try:
-            reply = await self.router.dispatch_infer(ref, raw_input,
-                                                     deadline)
+            replica, reply = await self.router.dispatch_infer(
+                ref, raw_input, deadline)
         except ReplicasUnavailable:
             self.metrics.incr("replica_fallbacks")
             return None
         if reply.get("ok"):
-            served_by = f"replica:{reply.get('replica', '?')}"
-            return reply["output"], served_by, reply.get("model", ref)
+            return (reply["output"], f"replica:{replica}",
+                    reply.get("model", ref))
         error = reply.get("error")
+        message = reply.get("message", f"{error} on replica {replica}")
         if error == "expired":
-            raise DeadlineExpired(
-                reply.get("message", "deadline expired on replica"))
+            raise DeadlineExpired(message)
         if error == "bad-request":
-            raise ValueError(reply.get("message", "bad request"))
-        # replica-fault / no-such-model skew: the local path still owns a
+            raise ValueError(message)
+        if error == "timeout":
+            raise TimeoutError(message)
+        # A fault the replica could not contain (an artifact line has no
+        # eager model) or version skew: the local path still owns a
         # validated copy of every line — answer there, never drop.
         self.metrics.incr("replica_fallbacks")
         return None

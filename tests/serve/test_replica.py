@@ -10,17 +10,26 @@ Three layers, cheapest first:
   failover, degrade-to-local with ``stop_reason``, rolling deploy.
 """
 
+import asyncio
+import json
+import multiprocessing as mp
+import socket
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.infer import compile_model
 from repro.io import load_model, save_model
 from repro.models import build_model
+from repro.infer.runtime import InferenceEngine
 from repro.parallel import reaper
+from repro.qinfer import save_plan
 from repro.serve import (ModelRegistry, ReplicaConfig, ReplicaRouter,
-                         ReplicaSet, ReplicaSpec, ServeConfig, ServerThread)
+                         ReplicaSet, ReplicaSpec, ServeConfig, ServerThread,
+                         SheddingConfig)
 from repro.serve.client import ServeClient
 from repro.verify.invariants import perturb_batchnorm_stats
 
@@ -50,6 +59,14 @@ def _ref_engine(checkpoint, seed=0):
     return compile_model(model, probe, max_batch=1)
 
 
+def _artifact(tmp_path, checkpoint, name="m.rplan") -> Path:
+    """A compiled fp32 plan of ``checkpoint``'s model, saved as an
+    artifact (its top-1 answers agree with the checkpoint's)."""
+    path = Path(tmp_path) / name
+    save_plan(_ref_engine(checkpoint).plan, path)
+    return path
+
+
 def _poll(predicate, timeout_s=15.0, interval_s=0.01) -> bool:
     deadline = time.monotonic() + timeout_s
     while not predicate():
@@ -64,7 +81,7 @@ class TestSpecAndConfig:
         spec = ReplicaSpec("m", "v2", checkpoint="/tmp/m.npz")
         assert spec.ref == "m@v2"
         payload = spec.deploy_payload()
-        assert payload["op"] == "deploy"
+        assert payload["op"] == "swap"
         assert payload["name"] == "m"
         assert payload["version"] == "v2"
         assert payload["checkpoint"] == "/tmp/m.npz"
@@ -136,7 +153,7 @@ class TestProbeScanDeterministic:
         peer = router._peers[0]
         router.probe_scan(now=0.0)
         rid = peer.probe_rid
-        router._on_reply(peer, {"rid": rid, "pong": True})
+        router._on_reply(peer, {"id": rid, "pong": True})
         assert peer.probe_rid is None
         assert peer.breaker.state == "closed"
         router.probe_scan(now=0.5)                  # re-arms immediately
@@ -352,3 +369,239 @@ class TestReplicatedServing:
                 assert "rolling" in [e.kind for e in rset.events]
         finally:
             rset.close()
+
+    def test_line_past_the_link_limit_is_served_locally(self, tmp_path,
+                                                        monkeypatch):
+        from repro.serve import router as router_module
+        checkpoint, rset, router, registry = self._stack(tmp_path)
+        reference = _ref_engine(checkpoint)
+        sample = np.random.default_rng(19).normal(
+            size=(3, 8, 8)).astype(np.float32)
+        try:
+            with registry, ServerThread(registry, ServeConfig(),
+                                        router=router) as srv:
+                with ServeClient("127.0.0.1", srv.port, timeout=60) as c:
+                    # Links are up; from here on an infer line is longer
+                    # than a replica would read.
+                    monkeypatch.setattr(router_module, "_LINE_LIMIT", 512)
+                    response = c.infer_verbose("m", sample)
+                    stats = c.stats()
+        finally:
+            rset.close()
+        assert response["served_by"] == "batch"
+        assert np.array_equal(np.asarray(response["output"], np.float32),
+                              reference.run(sample[None])[0])
+        assert stats["counters"]["replica_fallbacks"] == 1
+        assert stats["replicas"]["degraded"] is False
+
+    def test_burst_past_the_replica_default_bound_is_never_shed(
+            self, tmp_path):
+        # 160 concurrent requests, ~80 per replica: past the replica
+        # registry's default max_pending (64), inside the front door's 256.
+        checkpoint, rset, router, _ = self._stack(tmp_path,
+                                                   engine_delay_ms=5.0)
+        registry = ModelRegistry(max_batch=1, shedding=SheddingConfig(
+            max_pending=256, p99_budget_ms=None))
+        registry.deploy("m", "v1", checkpoint=str(checkpoint), seed=0)
+        sample = [[[0.5] * 8] * 8] * 3
+        burst = 160
+
+        async def one(port, i):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(json.dumps({"id": i, "model": "m",
+                                     "input": sample}).encode() + b"\n")
+            reply = json.loads(await reader.readline())
+            writer.close()
+            return reply
+
+        async def fire(port):
+            return await asyncio.gather(*(one(port, i)
+                                          for i in range(burst)))
+
+        try:
+            with registry, ServerThread(registry, ServeConfig(),
+                                        router=router) as srv:
+                replies = asyncio.run(fire(srv.port))
+                with ServeClient("127.0.0.1", srv.port) as c:
+                    stats = c.stats()
+        finally:
+            rset.close()
+        assert [r.get("error") for r in replies
+                if not r["ok"]] == []                   # no "overloaded"
+        assert all(r["served_by"].startswith("replica:") for r in replies)
+        assert stats["counters"].get("replica_fallbacks", 0) == 0
+        assert stats["replicas"]["fleet"]["counters"]["rejected"] == 0
+        assert stats["replicas"]["fleet"]["counters"]["completed"] == burst
+
+
+class _Link:
+    """Blocking NDJSON client on one replica's unix socket."""
+
+    def __init__(self, socket_path, timeout_s=60.0):
+        assert _poll(lambda: Path(socket_path).exists())
+        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.sock.settimeout(timeout_s)
+        self.sock.connect(str(socket_path))
+        self.stream = self.sock.makefile("rwb")
+        self.seq = 0
+
+    def send_line(self, line: bytes) -> dict:
+        self.stream.write(line + b"\n")
+        self.stream.flush()
+        return json.loads(self.stream.readline())
+
+    def request(self, payload: dict) -> dict:
+        self.seq += 1
+        reply = self.send_line(json.dumps({**payload, "id": self.seq})
+                               .encode())
+        assert reply.get("id") == self.seq
+        return reply
+
+    def close(self):
+        self.stream.close()
+        self.sock.close()
+
+
+class TestReplicaLink:
+    """A replica answers the public protocol in the front door's shapes."""
+
+    def test_ops_answer_in_front_door_shapes(self, tmp_path):
+        checkpoint = _checkpoint(tmp_path)
+        artifact = _artifact(tmp_path, checkpoint)
+        corrupt = Path(tmp_path) / "bad.rplan"
+        raw = bytearray(artifact.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        corrupt.write_bytes(bytes(raw))
+        reference = _ref_engine(checkpoint)
+        sample = np.random.default_rng(3).normal(
+            size=(3, 8, 8)).astype(np.float32)
+        rset = ReplicaSet(ReplicaConfig(replicas=1, max_batch=1))
+        link = _Link(rset.handles[0].socket_path)
+        try:
+            assert link.request({"op": "ping"}) == {
+                "id": link.seq, "ok": True, "pong": True}
+
+            swapped = link.request({"op": "swap", "name": "m",
+                                    "version": "v1",
+                                    "checkpoint": str(checkpoint)})
+            assert swapped["ok"] is True
+            assert swapped["swap"]["version"] == "v1"
+            assert swapped["swap"]["swapped_from"] is None
+
+            reply = link.request({"op": "infer", "model": "m",
+                                  "input": sample.tolist()})
+            assert set(reply) == {"id", "ok", "model", "output",
+                                  "served_by", "latency_ms"}
+            assert reply["model"] == "m@v1"
+            assert reply["served_by"] == "batch"
+            assert np.array_equal(np.asarray(reply["output"], np.float32),
+                                  reference.run(sample[None])[0])
+
+            swapped = link.request({"op": "swap", "name": "m",
+                                    "version": "v2",
+                                    "artifact": str(artifact)})
+            assert swapped["ok"] is True
+            assert swapped["swap"]["swapped_from"] == "v1"
+            assert swapped["swap"]["artifact"] == str(artifact)
+
+            rejected = link.request({"op": "swap", "name": "m",
+                                     "version": "v3",
+                                     "artifact": str(corrupt)})
+            assert rejected["ok"] is False
+            assert rejected["error"] == "swap-rejected"
+            after = link.request({"model": "m", "input": sample.tolist()})
+            assert after["ok"] is True and after["model"] == "m@v2"
+
+            stats = link.request({"op": "stats"})["stats"]
+            assert stats["counters"]["completed"] == 2
+            assert stats["counters"]["swaps"] == 2
+            assert stats["models"]["m"]["active"] == "m@v2"
+            assert stats["lifecycle"]["draining"] is False
+            assert len(stats["latency_samples"]) == 2
+            assert "blas_threads" in stats
+
+            for op in ("deploy", "shutdown"):
+                gone = link.request({"op": op, "name": "m", "version": "v4",
+                                     "checkpoint": str(checkpoint)})
+                assert gone["ok"] is False and gone["error"] == "unknown-op"
+            assert link.request({"op": "ping"})["pong"] is True
+        finally:
+            link.close()
+            rset.close()
+
+    def test_link_reads_lines_past_64_kib(self, tmp_path):
+        checkpoint = _checkpoint(tmp_path)
+        rset = ReplicaSet(ReplicaConfig(replicas=1, max_batch=1))
+        link = _Link(rset.handles[0].socket_path)
+        try:
+            assert link.request({"op": "swap", "name": "m", "version": "v1",
+                                 "checkpoint": str(checkpoint)})["ok"]
+            sample = np.zeros((3, 8, 8), np.float32).tolist()
+            line = json.dumps({"id": "big", "model": "m", "input": sample,
+                               "pad": "x" * 70_000}).encode()
+            assert len(line) > 64 * 1024
+            reply = link.send_line(line)
+            assert reply["id"] == "big" and reply["ok"] is True
+        finally:
+            link.close()
+            rset.close()
+
+
+_BATCHER = "repro-infer-batcher"
+
+
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                    reason="the fault is planted in the parent before fork")
+class TestReplicaFaultContainment:
+    """A replica contains its own batched-path faults with the front
+    door's retry -> eager ladder; only what it cannot contain comes back
+    to the front door's local path."""
+
+    def test_batched_fault_is_contained_inside_the_replica(
+            self, tmp_path, monkeypatch):
+        checkpoint = _checkpoint(tmp_path)
+        artifact = _artifact(tmp_path, checkpoint)
+        reference = _ref_engine(checkpoint)
+        clean_run = InferenceEngine.run
+
+        def faulty_run(self, batch):
+            # Only the batch worker faults; deploy-gate probes (run on
+            # other threads) still compile and validate.
+            if threading.current_thread().name == _BATCHER:
+                raise RuntimeError("planted batched-path fault")
+            return clean_run(self, batch)
+
+        monkeypatch.setattr(InferenceEngine, "run", faulty_run)
+        rset = ReplicaSet(ReplicaConfig(replicas=1, max_batch=1))
+        monkeypatch.setattr(InferenceEngine, "run", clean_run)   # parent
+        router = ReplicaRouter(rset, [
+            ReplicaSpec("m", "v1", checkpoint=str(checkpoint)),
+            ReplicaSpec("a", "v1", artifact=str(artifact))])
+        registry = ModelRegistry(max_batch=1)
+        registry.deploy("m", "v1", checkpoint=str(checkpoint), seed=0)
+        registry.deploy("a", "v1", artifact=str(artifact))
+        sample = np.random.default_rng(5).normal(
+            size=(3, 8, 8)).astype(np.float32)
+        expected = reference.run(sample[None])[0]
+        try:
+            with registry, ServerThread(registry, ServeConfig(),
+                                        router=router) as srv:
+                with ServeClient("127.0.0.1", srv.port, timeout=60) as c:
+                    eager = c.infer_verbose("m", sample)
+                    local = c.infer_verbose("a", sample)
+                    stats = c.stats()
+        finally:
+            rset.close()
+        # The checkpoint line has an eager model: the replica answers.
+        assert eager["ok"] is True and eager["served_by"] == "replica:0"
+        np.testing.assert_allclose(np.asarray(eager["output"], np.float32),
+                                   expected, rtol=1e-4, atol=1e-5)
+        replica = stats["replicas"]["per_replica"]["0"]
+        assert replica["counters"]["fallbacks"] == 1
+        assert replica["models"] == {"m": "m@v1", "a": "a@v1"}
+        # The artifact line has none: the front door's local path answers.
+        assert local["ok"] is True and local["served_by"] == "batch"
+        assert np.array_equal(np.asarray(local["output"], np.float32),
+                              expected)
+        assert stats["counters"]["replica_fallbacks"] == 1
+        assert stats["counters"]["fallbacks"] == 0
